@@ -83,7 +83,6 @@ struct LoadgenOptions {
   int64_t cache = -1;  // -1 = auto-size to the working set
   int64_t workers = 2;
   int64_t max_batch = 32;
-  int64_t batch_timeout_us = 2000;
   int64_t queue_capacity = 512;
   int64_t b_pairs = 256;  // distinct (user, item) pairs in the Task B mix
   std::string json_out;
@@ -654,7 +653,6 @@ int RunChaos(const LoadgenOptions& opt) {
   } else {  // overload
     config.queue_capacity = 32;
     config.max_batch = 8;
-    config.batch_timeout_us = 1000;
     config.n_workers = 1;
     config.degrade.enabled = true;
     config.degrade.step_up_after = 1;
@@ -798,7 +796,6 @@ int Run(const LoadgenOptions& opt) {
   ServerConfig config;
   config.queue_capacity = opt.queue_capacity;
   config.max_batch = opt.max_batch;
-  config.batch_timeout_us = opt.batch_timeout_us;
   config.n_workers = static_cast<int>(opt.workers);
   config.cache_capacity =
       opt.cache >= 0 ? opt.cache
@@ -939,7 +936,6 @@ int Run(const LoadgenOptions& opt) {
     out += ",\"cache_capacity\":" + std::to_string(config.cache_capacity);
     out += ",\"n_workers\":" + std::to_string(config.n_workers);
     out += ",\"max_batch\":" + std::to_string(config.max_batch);
-    out += ",\"batch_timeout_us\":" + std::to_string(config.batch_timeout_us);
     out += ",\"queue_capacity\":" + std::to_string(config.queue_capacity);
     out += ",\"working_set\":" + std::to_string(working_set.size());
     out += ",\"fast\":" +
@@ -1054,8 +1050,6 @@ int main(int argc, char** argv) {
       opt.workers = std::stoll(v);
     } else if (mgbr::bench::ParseFlag(arg, "max-batch", &v)) {
       opt.max_batch = std::stoll(v);
-    } else if (mgbr::bench::ParseFlag(arg, "batch-timeout-us", &v)) {
-      opt.batch_timeout_us = std::stoll(v);
     } else if (mgbr::bench::ParseFlag(arg, "queue-capacity", &v)) {
       opt.queue_capacity = std::stoll(v);
     } else if (mgbr::bench::ParseFlag(arg, "b-pairs", &v)) {

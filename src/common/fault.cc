@@ -94,12 +94,21 @@ const char* KindName(Injection::Kind kind) {
   return "?";
 }
 
+// "kind@match:at" for the fire-once kinds; a delay has no occurrence
+// index, so it reads "delay@point:ms:every" as in its directive.
+std::string Describe(const Injection& spec) {
+  std::string out = std::string(KindName(spec.kind)) + "@" + spec.match + ":";
+  if (spec.kind == Injection::Kind::kDelay) {
+    return out + std::to_string(spec.ms) + ":" + std::to_string(spec.every);
+  }
+  return out + std::to_string(spec.at);
+}
+
 // Fault injection is a test/CI facility: every fired injection is
 // logged unconditionally (the CI crash-recovery job archives stderr as
 // the fault log) and additionally counted when telemetry is on.
 void RecordFired(const ArmedInjection& armed, const std::string& target) {
-  MGBR_LOG_WARNING("fault: injected ", KindName(armed.spec.kind), "@",
-                   armed.spec.match, ":", armed.spec.at, " on '", target,
+  MGBR_LOG_WARNING("fault: injected ", Describe(armed.spec), " on '", target,
                    "'");
   MGBR_COUNTER_ADD(InjectedCounter(armed.spec.kind), 1);
 }
@@ -163,8 +172,7 @@ void InstallFromEnvLocked() {
       continue;
     }
     Plan().push_back(ArmedInjection{injection, 0, false});
-    MGBR_LOG_WARNING("fault: armed ", KindName(injection.kind), "@",
-                     injection.match, ":", injection.at);
+    MGBR_LOG_WARNING("fault: armed ", Describe(injection));
   }
   // A variable that parses to zero injections must also drop the flag,
   // or every subsequent hook would keep taking the plan mutex.

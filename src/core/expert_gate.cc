@@ -6,9 +6,6 @@
 #include "tensor/ops.h"
 
 namespace mgbr {
-namespace {
-
-}  // namespace
 
 MultiTaskModule::MultiTaskModule(const MgbrConfig& config, Rng* rng)
     : dim_(config.dim),

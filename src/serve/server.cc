@@ -195,9 +195,7 @@ Server::Server(ModelPool* pool, ServerConfig config)
   MGBR_CHECK(pool_->current_id() > 0);  // a version must be installed
   MGBR_CHECK_GE(config_.queue_capacity, 1);
   MGBR_CHECK_GE(config_.max_batch, 1);
-  MGBR_CHECK_GE(config_.batch_timeout_us, 0);
   MGBR_CHECK_GE(config_.n_workers, 1);
-  MGBR_CHECK_GE(config_.batch_backlog, 1);
   MGBR_CHECK_GE(config_.cache_capacity, 0);
   if (config_.retrieval.enabled) {
     MGBR_CHECK_GE(config_.retrieval.nprobe, 1);
@@ -318,8 +316,6 @@ Server::Server(ModelPool* pool, ServerConfig config)
     }
   }
 
-  batcher_slot_ = std::make_shared<WorkerSlot>();
-  batcher_ = std::thread([this] { BatcherLoop(); });
   workers_.reserve(static_cast<size_t>(config_.n_workers));
   worker_slots_.reserve(static_cast<size_t>(config_.n_workers));
   const int64_t spawn_us = trace::NowMicros();
@@ -360,27 +356,32 @@ void Server::Stop() {
     state_.store(static_cast<int>(State::kDraining),
                  std::memory_order_release);
   }
-  // Watchdog first: once it has joined, no restart can race the thread
-  // joins below, and workers_/worker_slots_/zombies_ are ours alone.
-  {
-    std::lock_guard<std::mutex> lock(watchdog_mu_);
-    watchdog_stop_ = true;
+  cv_nonempty_.notify_all();
+  // The watchdog stays up through the drain, so a worker that wedges
+  // now is still replaced and the queue keeps moving. Each thread is
+  // taken out under watchdog_mu_ (no restart can race the move) and
+  // joined outside it; a replacement spawned meanwhile is found by the
+  // next scan. Replaced (zombie) workers still own their in-flight
+  // batches and must deliver every terminal status before Stopped.
+  for (;;) {
+    std::thread thread;
+    {
+      std::lock_guard<std::mutex> lock(watchdog_mu_);
+      const auto joinable = [](const std::thread& t) { return t.joinable(); };
+      auto it = std::find_if(workers_.begin(), workers_.end(), joinable);
+      if (it == workers_.end()) {
+        it = std::find_if(zombies_.begin(), zombies_.end(), joinable);
+        if (it == zombies_.end()) {
+          watchdog_stop_ = true;
+          break;
+        }
+      }
+      thread = std::move(*it);
+    }
+    thread.join();
   }
   watchdog_cv_.notify_all();
   if (watchdog_.joinable()) watchdog_.join();
-  cv_nonempty_.notify_all();
-  cv_batch_ready_.notify_all();
-  cv_batch_space_.notify_all();
-  if (batcher_.joinable()) batcher_.join();
-  for (std::thread& w : workers_) {
-    if (w.joinable()) w.join();
-  }
-  // Replaced workers drain last: a wedged scorer still owns its
-  // in-flight batch and must deliver every terminal status before the
-  // server reports Stopped.
-  for (std::thread& z : zombies_) {
-    if (z.joinable()) z.join();
-  }
   state_.store(static_cast<int>(State::kStopped), std::memory_order_release);
 }
 
@@ -470,79 +471,37 @@ void Server::FinishUnadmitted(const Request& request, int64_t now_us,
   promise.set_value(std::move(response));
 }
 
-void Server::BatcherLoop() {
-  const std::shared_ptr<WorkerSlot> slot = batcher_slot_;
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    slot->busy.store(false, std::memory_order_relaxed);
-    slot->heartbeat_us.store(trace::NowMicros(), std::memory_order_relaxed);
-    cv_nonempty_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-    if (queue_.empty()) break;  // stop_ with a drained queue
-    slot->busy.store(true, std::memory_order_relaxed);
-    slot->heartbeat_us.store(trace::NowMicros(), std::memory_order_relaxed);
-
-    // The batch opened when its first request was admitted; close it on
-    // size or when batch_timeout_us has elapsed since that admission.
-    // On stop, flush immediately so the drain never waits on the timer.
-    const int64_t close_us =
-        queue_.front().enqueue_us + config_.batch_timeout_us;
-    while (!stop_ &&
-           static_cast<int64_t>(queue_.size()) < config_.max_batch) {
-      const int64_t now = trace::NowMicros();
-      if (now >= close_us) break;
-      cv_nonempty_.wait_for(lock, std::chrono::microseconds(close_us - now));
-      slot->heartbeat_us.store(trace::NowMicros(), std::memory_order_relaxed);
-    }
-
-    Batch batch;
-    const int64_t take = std::min<int64_t>(
-        static_cast<int64_t>(queue_.size()), config_.max_batch);
-    batch.reserve(static_cast<size_t>(take));
-    const int64_t closed_at = trace::NowMicros();
-    for (int64_t i = 0; i < take; ++i) {
-      queue_.front().batch_close_us = closed_at;
-      batch.push_back(std::move(queue_.front()));
-      queue_.pop_front();
-    }
-    MGBR_GAUGE_SET(QueueDepthGauge(), static_cast<double>(queue_.size()));
-
-    // Bounded hand-off: when every worker is busy and the backlog is
-    // full, the batcher blocks here; the admission queue then fills and
-    // Submit() starts shedding — backpressure instead of memory growth.
-    // The heartbeat keeps ticking: a backpressured batcher is waiting,
-    // not wedged, and must not trip the watchdog's stall log.
-    cv_batch_space_.wait(lock, [this, &slot] {
-      slot->heartbeat_us.store(trace::NowMicros(), std::memory_order_relaxed);
-      return stop_ ||
-             static_cast<int64_t>(batches_.size()) < config_.batch_backlog;
-    });
-    batches_.push_back(std::move(batch));
-    cv_batch_ready_.notify_one();
-    if (stop_ && queue_.empty()) break;
-  }
-  batcher_done_ = true;
-  slot->busy.store(false, std::memory_order_relaxed);
-  cv_batch_ready_.notify_all();
-}
-
 void Server::WorkerLoop(std::shared_ptr<WorkerSlot> slot) {
   for (;;) {
     Batch batch;
     {
       std::unique_lock<std::mutex> lock(mu_);
       slot->heartbeat_us.store(trace::NowMicros(), std::memory_order_relaxed);
-      cv_batch_ready_.wait(lock, [this, &slot] {
-        return !batches_.empty() || batcher_done_ ||
+      cv_nonempty_.wait(lock, [this, &slot] {
+        return stop_ || !queue_.empty() ||
                slot->retired.load(std::memory_order_relaxed);
       });
       // A retired slot exits without taking another batch — its
-      // replacement owns the logical worker index now.
-      if (slot->retired.load(std::memory_order_relaxed)) return;
-      if (batches_.empty()) return;  // batcher done and nothing left
-      batch = std::move(batches_.front());
-      batches_.pop_front();
+      // replacement owns the logical worker index now, and gets the
+      // wake-up this thread may have consumed.
+      if (slot->retired.load(std::memory_order_relaxed)) {
+        cv_nonempty_.notify_one();
+        return;
+      }
+      if (queue_.empty()) return;  // stopped and drained
+      // Work-conserving pickup: everything queued, up to max_batch, is
+      // one batch. A lone request never waits for company.
+      const int64_t take = std::min<int64_t>(
+          static_cast<int64_t>(queue_.size()), config_.max_batch);
+      batch.reserve(static_cast<size_t>(take));
+      const int64_t taken_at = trace::NowMicros();
+      for (int64_t i = 0; i < take; ++i) {
+        queue_.front().batch_close_us = taken_at;
+        batch.push_back(std::move(queue_.front()));
+        queue_.pop_front();
+      }
+      MGBR_GAUGE_SET(QueueDepthGauge(), static_cast<double>(queue_.size()));
     }
-    cv_batch_space_.notify_one();
     slot->heartbeat_us.store(trace::NowMicros(), std::memory_order_relaxed);
     slot->busy.store(true, std::memory_order_relaxed);
     ExecuteBatch(std::move(batch), slot.get());
@@ -554,7 +513,6 @@ void Server::WorkerLoop(std::shared_ptr<WorkerSlot> slot) {
 
 void Server::WatchdogLoop() {
   const int64_t stall_us = config_.watchdog.stall_timeout_ms * 1000;
-  bool batcher_stalled = false;
   for (;;) {
     {
       std::unique_lock<std::mutex> lock(watchdog_mu_);
@@ -588,27 +546,6 @@ void Server::WatchdogLoop() {
         MGBR_LOG_WARNING("serve: watchdog replaced stalled worker ", i,
                          " (no heartbeat for ", (now - beat) / 1000, "ms)");
       }
-      // Batcher stall detection is LOG-ONLY: the batcher owns the
-      // admission queue, and a false-positive restart there would lose
-      // requests. Stalled = work is waiting, nothing was handed off,
-      // and the heartbeat went silent.
-      bool stalled = false;
-      if (batcher_slot_ != nullptr &&
-          batcher_slot_->busy.load(std::memory_order_relaxed)) {
-        const int64_t beat =
-            batcher_slot_->heartbeat_us.load(std::memory_order_relaxed);
-        if (beat != 0 && now - beat >= stall_us) {
-          std::lock_guard<std::mutex> qlock(mu_);
-          stalled = !queue_.empty() && batches_.empty();
-        }
-      }
-      if (stalled && !batcher_stalled) {
-        batcher_stalls_.fetch_add(1, std::memory_order_relaxed);
-        MGBR_LOG_WARNING(
-            "serve: watchdog detected a stalled batcher (log-only; the "
-            "batcher owns the admission queue and is never restarted)");
-      }
-      batcher_stalled = stalled;
     }
   }
 }
@@ -741,8 +678,7 @@ void Server::ExecuteBatch(Batch batch, WorkerSlot* slot) {
   MGBR_COUNTER_ADD(BatchesCounter(), 1);
   MGBR_HISTOGRAM_OBSERVE(BatchSizeHistogram(),
                          static_cast<double>(batch.size()));
-  // The backlog wait ends for every member when a worker picks the
-  // batch up; whatever follows is the score stage.
+  // Everything from here on is the score stage.
   const int64_t score_start = trace::NowMicros();
   for (Pending& pending : batch) pending.score_start_us = score_start;
 

@@ -56,9 +56,8 @@ struct ObsOptions {
 /// is presumed wedged and replaced — the wedged thread keeps its
 /// in-flight batch and finishes it whenever it unwedges (every
 /// admitted request still gets exactly one terminal status), it just
-/// stops taking new batches. A stalled BATCHER is detected and logged
-/// but never restarted: the batcher owns the admission queue, and a
-/// false positive there would lose requests.
+/// stops taking new batches. The watchdog keeps running while Stop()
+/// drains, so a worker that wedges mid-drain is replaced too.
 struct WatchdogConfig {
   bool enabled = false;
   int64_t stall_timeout_ms = 1000;
@@ -68,24 +67,20 @@ struct WatchdogConfig {
   int max_restarts = 4;
 };
 
-/// Dynamic-batching policy and capacity bounds. See docs/serving.md.
+/// Batching policy and capacity bounds. See docs/serving.md.
 struct ServerConfig {
   /// Bounded admission queue; Submit() beyond it sheds immediately
   /// with kShedQueueFull (explicit backpressure, never unbounded RAM).
+  /// At most queue_capacity + n_workers * max_batch requests are in
+  /// flight.
   int64_t queue_capacity = 256;
-  /// A batch closes when it holds this many requests...
+  /// An idle worker takes every queued request, up to this many, as one
+  /// batch; batches grow only while every worker is busy.
   int64_t max_batch = 32;
-  /// ...or this many microseconds after its FIRST request was
-  /// admitted, whichever comes first (size-or-timeout close).
-  int64_t batch_timeout_us = 2000;
-  /// Scoring threads consuming closed batches. Each drives
-  /// RecModel::ScoreAAll/ScoreBAll under NoGradScope; the kernels
-  /// inside parallelize over the shared thread pool.
+  /// Scoring threads pulling batches off the admission queue. Each
+  /// drives RecModel::ScoreAAll/ScoreBAll under NoGradScope; the
+  /// kernels inside parallelize over the shared thread pool.
   int n_workers = 2;
-  /// Closed batches allowed to wait for a worker. When full, the
-  /// batcher blocks and the admission queue fills, so total in-flight
-  /// work stays bounded by queue_capacity + batch_backlog * max_batch.
-  int64_t batch_backlog = 4;
   /// Per-version score cache entries (unique (task, user, item) keys);
   /// 0 disables caching. Exact, not approximate: a version's
   /// propagated embeddings are frozen between swaps, so the
@@ -125,26 +120,27 @@ struct ServerConfig {
   WatchdogConfig watchdog;
 };
 
-/// Multi-threaded request router with dynamic batching.
+/// Multi-threaded request router with work-conserving batching.
 ///
-/// Data path: Submit() -> bounded admission queue -> batcher thread
-/// (closes a batch on size-or-timeout) -> bounded batch backlog ->
-/// worker threads. A worker pins one ModelPool version for the whole
-/// batch, coalesces requests that share a (task, user, item) key into
-/// one full-catalogue scorer call (the kEvalBatchCandidates-packed
-/// mega-batch path from the inference engine), consults the
-/// per-version score cache, and resolves each request's future with a
-/// deterministic TopKIndices cut. Per-request results are independent
-/// of batch composition: batching changes only latency, never scores.
+/// Data path: Submit() -> bounded admission queue -> worker threads. An
+/// idle worker takes every queued request, up to max_batch, as one
+/// batch, so no request waits while a worker is free. A worker pins one
+/// ModelPool version for the whole batch, coalesces requests that share
+/// a (task, user, item) key into one full-catalogue scorer call (the
+/// kEvalBatchCandidates-packed mega-batch path from the inference
+/// engine), consults the per-version score cache, and resolves each
+/// request's future with a deterministic TopKIndices cut. Per-request
+/// results are independent of batch composition: batching changes only
+/// latency, never scores.
 ///
 /// Shutdown is graceful: Stop() rejects new submissions, drains every
 /// admitted request through the normal scoring path, then joins the
-/// batcher and workers. The destructor calls Stop().
+/// workers. The destructor calls Stop().
 class Server {
  public:
   /// Lifecycle reported by /healthz: Running until Stop() is called,
   /// Draining while Stop() flushes admitted requests through scoring,
-  /// Stopped once the batcher and workers have joined.
+  /// Stopped once the workers have joined.
   enum class State { kRunning = 0, kDraining, kStopped };
 
   /// `pool` must outlive the server and already hold a version.
@@ -268,10 +264,10 @@ class Server {
     std::list<CacheKey>::iterator lru_pos;
   };
 
-  /// Liveness state of one scoring worker (or the batcher). Allocated
-  /// per spawned thread and shared with the watchdog; a replaced
-  /// worker keeps its own retired slot alive through the shared_ptr
-  /// its loop captured, so old and new threads never share flags.
+  /// Liveness state of one scoring worker. Allocated per spawned thread
+  /// and shared with the watchdog; a replaced worker keeps its own
+  /// retired slot alive through the shared_ptr its loop captured, so
+  /// old and new threads never share flags.
   struct WorkerSlot {
     std::atomic<int64_t> heartbeat_us{0};
     std::atomic<bool> busy{false};
@@ -280,7 +276,6 @@ class Server {
     std::atomic<bool> retired{false};
   };
 
-  void BatcherLoop();
   void WorkerLoop(std::shared_ptr<WorkerSlot> slot);
   void WatchdogLoop();
   void ExecuteBatch(Batch batch, WorkerSlot* slot);
@@ -298,13 +293,9 @@ class Server {
   const ServerConfig config_;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_nonempty_;     // batcher <- Submit
-  std::condition_variable cv_batch_ready_;  // workers <- batcher
-  std::condition_variable cv_batch_space_;  // batcher <- workers
+  std::condition_variable cv_nonempty_;  // workers <- Submit / Stop
   std::deque<Pending> queue_;
-  std::deque<Batch> batches_;
   bool stop_ = false;
-  bool batcher_done_ = false;
 
   std::mutex cache_mu_;
   std::unordered_map<CacheKey, CacheEntry, CacheKeyHash> cache_;
@@ -337,17 +328,14 @@ class Server {
   std::atomic<int64_t> quant_scored_{0};
   std::atomic<int64_t> shed_load_{0};
   std::atomic<int64_t> worker_restarts_{0};
-  std::atomic<int64_t> batcher_stalls_{0};
 
-  std::thread batcher_;
-  std::shared_ptr<WorkerSlot> batcher_slot_;
   /// workers_[i] is logical scoring slot i; its liveness state is
   /// worker_slots_[i] (replaced together on a watchdog restart).
   std::vector<std::thread> workers_;
   std::vector<std::shared_ptr<WorkerSlot>> worker_slots_;
-  /// Watchdog thread state. watchdog_mu_ guards workers_/worker_slots_
-  /// mutation and zombies_; Stop() joins the watchdog FIRST so no
-  /// restart can race the final thread joins.
+  /// Watchdog thread state. watchdog_mu_ guards workers_, worker_slots_
+  /// and zombies_; Stop() takes each thread out under it before joining,
+  /// and stops the watchdog only once no joinable thread is left.
   std::thread watchdog_;
   std::mutex watchdog_mu_;
   std::condition_variable watchdog_cv_;

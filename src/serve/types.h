@@ -55,9 +55,10 @@ struct Response {
   int degrade_level = 0;
   // Lifecycle timestamps on the trace::NowMicros() clock; a stage the
   // request never reached stays 0 (e.g. batch_close_us for a request
-  // shed at admission). Stage waits:
+  // shed at admission). batch_close_us is when a worker took the
+  // request off the admission queue. Stage waits:
   //   queue wait  = batch_close_us - enqueue_us
-  //   batch wait  = score_start_us - batch_close_us (backlog)
+  //   batch wait  = score_start_us - batch_close_us (pickup to scoring)
   //   score       = done_us - score_start_us
   int64_t enqueue_us = 0;
   int64_t batch_close_us = 0;

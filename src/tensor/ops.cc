@@ -118,37 +118,6 @@ Var Mul(const Var& a, const Var& b) {
   });
 }
 
-Var Div(const Var& a, const Var& b) {
-  MGBR_CHECK(a.value().same_shape(b.value()));
-  Tensor out = a.value();
-  const float* bp = b.value().data();
-  float* op = out.data();
-  ParallelFor(0, out.numel(), kElemGrain, [op, bp](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) op[i] /= bp[i];
-  });
-  return MakeOpVar(std::move(out), {a, b}, [](VarNode& n) {
-    const Tensor& av = n.parents[0]->value;
-    const Tensor& bv = n.parents[1]->value;
-    if (n.parents[0]->requires_grad) {
-      Tensor d = n.grad;
-      float* dp = d.data();
-      const float* bp2 = bv.data();
-      for (int64_t i = 0; i < d.numel(); ++i) dp[i] /= bp2[i];
-      n.parents[0]->EnsureGrad().AccumulateInPlace(d);
-    }
-    if (n.parents[1]->requires_grad) {
-      Tensor d = n.grad;
-      float* dp = d.data();
-      const float* ap = av.data();
-      const float* bp2 = bv.data();
-      for (int64_t i = 0; i < d.numel(); ++i) {
-        dp[i] *= -ap[i] / (bp2[i] * bp2[i]);
-      }
-      n.parents[1]->EnsureGrad().AccumulateInPlace(d);
-    }
-  });
-}
-
 // ---------------------------------------------------------------------------
 // Scalar ops.
 // ---------------------------------------------------------------------------
@@ -393,40 +362,6 @@ Var ConcatCols(const std::vector<Var>& parts) {
   });
 }
 
-Var ConcatRows(const std::vector<Var>& parts) {
-  MGBR_CHECK(!parts.empty());
-  const int64_t cols = parts[0].cols();
-  int64_t total_rows = 0;
-  for (const Var& p : parts) {
-    MGBR_CHECK_EQ(p.cols(), cols);
-    total_rows += p.rows();
-  }
-  Tensor out(total_rows, cols);
-  int64_t offset = 0;
-  for (const Var& p : parts) {
-    const Tensor& pv = p.value();
-    for (int64_t i = 0; i < pv.numel(); ++i) {
-      out.data()[offset * cols + i] = pv.data()[i];
-    }
-    offset += p.rows();
-  }
-  return MakeOpVar(std::move(out), parts, [](VarNode& n) {
-    int64_t off = 0;
-    for (auto& parent : n.parents) {
-      const int64_t pr = parent->value.rows();
-      const int64_t pc = parent->value.cols();
-      if (parent->requires_grad) {
-        Tensor d(pr, pc);
-        for (int64_t i = 0; i < pr * pc; ++i) {
-          d.data()[i] = n.grad.data()[off * pc + i];
-        }
-        parent->EnsureGrad().AccumulateInPlace(d);
-      }
-      off += pr;
-    }
-  });
-}
-
 Var SliceCols(const Var& a, int64_t start, int64_t len) {
   MGBR_CHECK_GE(start, 0);
   MGBR_CHECK_GE(len, 0);
@@ -565,12 +500,6 @@ Var LeakyRelu(const Var& a, float slope) {
       [slope](float x, float) { return x > 0.0f ? 1.0f : slope; });
 }
 
-Var Exp(const Var& a) {
-  return UnaryOp(
-      a, [](float x) { return std::exp(x); },
-      [](float, float y) { return y; });
-}
-
 Var Log(const Var& a) {
   return UnaryOp(
       a, [](float x) { return std::log(x); },
@@ -581,12 +510,6 @@ Var Square(const Var& a) {
   return UnaryOp(
       a, [](float x) { return x * x; },
       [](float x, float) { return 2.0f * x; });
-}
-
-Var Softplus(const Var& a) {
-  return UnaryOp(
-      a, [](float x) { return StableSoftplus(x); },
-      [](float x, float) { return StableSigmoid(x); });
 }
 
 Var LogSigmoid(const Var& a) {
@@ -642,11 +565,6 @@ Var RowSum(const Var& a) {
   });
 }
 
-Var RowMean(const Var& a) {
-  MGBR_CHECK_GT(a.cols(), 0);
-  return MulScalar(RowSum(a), 1.0f / static_cast<float>(a.cols()));
-}
-
 Var SumOverRows(const Var& a) {
   Tensor out(1, a.cols());
   for (int64_t r = 0; r < a.rows(); ++r) {
@@ -669,8 +587,6 @@ Var MeanOverRows(const Var& a) {
   MGBR_CHECK_GT(a.rows(), 0);
   return MulScalar(SumOverRows(a), 1.0f / static_cast<float>(a.rows()));
 }
-
-Var SumSquares(const Var& a) { return Sum(Square(a)); }
 
 // ---------------------------------------------------------------------------
 // Softmax & losses.

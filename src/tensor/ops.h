@@ -18,8 +18,6 @@ Var Add(const Var& a, const Var& b);
 Var Sub(const Var& a, const Var& b);
 /// out = a ⊙ b (Hadamard product).
 Var Mul(const Var& a, const Var& b);
-/// out = a / b (elementwise; caller guarantees b != 0).
-Var Div(const Var& a, const Var& b);
 
 // ---------------------------------------------------------------------------
 // Scalar ops.
@@ -61,9 +59,6 @@ Var Transpose(const Var& a);
 /// Horizontal concatenation: all parts share rows; cols add up.
 Var ConcatCols(const std::vector<Var>& parts);
 
-/// Vertical concatenation: all parts share cols; rows add up.
-Var ConcatRows(const std::vector<Var>& parts);
-
 /// Column slice [start, start+len).
 Var SliceCols(const Var& a, int64_t start, int64_t len);
 
@@ -89,12 +84,9 @@ Var Tanh(const Var& a);
 Var Relu(const Var& a);
 /// max(x, slope*x) with slope in (0, 1); NGCF's activation.
 Var LeakyRelu(const Var& a, float slope = 0.2f);
-Var Exp(const Var& a);
 /// Natural log; caller guarantees positive inputs.
 Var Log(const Var& a);
 Var Square(const Var& a);
-/// Numerically stable log(1 + e^x).
-Var Softplus(const Var& a);
 /// Numerically stable log(sigmoid(x)) = -softplus(-x).
 Var LogSigmoid(const Var& a);
 
@@ -108,14 +100,10 @@ Var Sum(const Var& a);
 Var Mean(const Var& a);
 /// Per-row sum: (B x d) -> (B x 1).
 Var RowSum(const Var& a);
-/// Per-row mean: (B x d) -> (B x 1).
-Var RowMean(const Var& a);
 /// Column means: (B x d) -> (1 x d).
 Var MeanOverRows(const Var& a);
 /// Column sums: (B x d) -> (1 x d).
 Var SumOverRows(const Var& a);
-/// Sum of squared elements -> 1x1 (L2 regularization helper).
-Var SumSquares(const Var& a);
 
 // ---------------------------------------------------------------------------
 // Expert mixtures.

@@ -38,19 +38,6 @@ double ClipGradNorm(std::vector<Var>& params, double max_norm) {
   return norm;
 }
 
-Sgd::Sgd(std::vector<Var> params, float lr)
-    : Optimizer(std::move(params)), lr_(lr) {}
-
-void Sgd::Step() {
-  for (Var& p : params_) {
-    Tensor& value = p.mutable_value();
-    const Tensor& grad = p.grad();
-    float* vp = value.data();
-    const float* gp = grad.data();
-    for (int64_t i = 0; i < value.numel(); ++i) vp[i] -= lr_ * gp[i];
-  }
-}
-
 Adam::Adam(std::vector<Var> params, float lr, float beta1, float beta2,
            float eps, float weight_decay)
     : Optimizer(std::move(params)),

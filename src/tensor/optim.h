@@ -39,16 +39,6 @@ class Optimizer {
 /// `max_norm`. Returns the pre-clip norm. No-op if max_norm <= 0.
 double ClipGradNorm(std::vector<Var>& params, double max_norm);
 
-/// Plain SGD: p -= lr * grad.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Var> params, float lr);
-  void Step() override;
-
- private:
-  float lr_;
-};
-
 /// Adam with bias correction (Kingma & Ba, 2015) — the optimizer the
 /// paper trains MGBR with. Optional decoupled weight decay.
 class Adam : public Optimizer {

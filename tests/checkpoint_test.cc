@@ -69,9 +69,15 @@ bool BitEqualT(const Tensor& a, const Tensor& b) {
 }
 
 std::string UniqueTempDir(const std::string& tag) {
+  // A pid repeats once the OS recycles it, and a directory left by an
+  // earlier run under the same pid holds newer checkpoints that a
+  // resume would pick up; the process start time keeps names unique.
+  static const int64_t start_ns =
+      std::chrono::system_clock::now().time_since_epoch().count();
   static int counter = 0;
   return ::testing::TempDir() + "mgbr_ckpt_" + tag + "_" +
-         std::to_string(::getpid()) + "_" + std::to_string(counter++);
+         std::to_string(::getpid()) + "_" + std::to_string(start_ns) + "_" +
+         std::to_string(counter++);
 }
 
 std::string ReadAll(const std::string& path) {

@@ -23,7 +23,7 @@ Var Leaf(int64_t rows, int64_t cols, uint64_t seed) {
   return Var(std::move(t), /*requires_grad=*/true);
 }
 
-/// Positive-valued leaf (for Log/Div).
+/// Positive-valued leaf (for Log).
 Var PositiveLeaf(int64_t rows, int64_t cols, uint64_t seed) {
   Rng rng(seed);
   Tensor t(rows, cols);
@@ -44,6 +44,11 @@ struct UnaryCase {
   UnaryBuilder op;
   bool positive_only;
 };
+
+/// Prints the case as its op name. Without this gtest prints the struct's
+/// raw bytes, which hold pointers, and the discovered ctest names (which
+/// carry the printed parameter) would change with every run's load address.
+void PrintTo(const UnaryCase& unary, std::ostream* os) { *os << unary.name; }
 
 class UnaryGradTest
     : public ::testing::TestWithParam<std::tuple<UnaryCase, std::pair<int, int>>> {};
@@ -69,10 +74,8 @@ Var SigmoidOp(const Var& a) { return Sigmoid(a); }
 Var TanhOp(const Var& a) { return Tanh(a); }
 Var ReluOp(const Var& a) { return Relu(a); }
 Var LeakyOp(const Var& a) { return LeakyRelu(a, 0.2f); }
-Var ExpOp(const Var& a) { return Exp(a); }
 Var LogOp(const Var& a) { return Log(a); }
 Var SquareOp(const Var& a) { return Square(a); }
-Var SoftplusOp(const Var& a) { return Softplus(a); }
 Var LogSigmoidOp(const Var& a) { return LogSigmoid(a); }
 Var NegOp(const Var& a) { return Neg(a); }
 Var SoftmaxOp(const Var& a) { return RowSoftmax(a); }
@@ -85,10 +88,8 @@ INSTANTIATE_TEST_SUITE_P(
                           UnaryCase{"Tanh", &TanhOp, false},
                           UnaryCase{"Relu", &ReluOp, false},
                           UnaryCase{"LeakyRelu", &LeakyOp, false},
-                          UnaryCase{"Exp", &ExpOp, false},
                           UnaryCase{"Log", &LogOp, true},
                           UnaryCase{"Square", &SquareOp, false},
-                          UnaryCase{"Softplus", &SoftplusOp, false},
                           UnaryCase{"LogSigmoid", &LogSigmoidOp, false},
                           UnaryCase{"Neg", &NegOp, false},
                           UnaryCase{"RowSoftmax", &SoftmaxOp, false},
@@ -118,12 +119,6 @@ TEST(GradCheckTest, MulBothInputs) {
   std::vector<Var> leaves = {Leaf(2, 3, 5), Leaf(2, 3, 6)};
   CheckGradients(leaves,
                  [&] { return Sum(Mul(leaves[0], leaves[1])); });
-}
-
-TEST(GradCheckTest, DivBothInputs) {
-  std::vector<Var> leaves = {Leaf(2, 3, 7), PositiveLeaf(2, 3, 8)};
-  CheckGradients(leaves,
-                 [&] { return Sum(Div(leaves[0], leaves[1])); });
 }
 
 TEST(GradCheckTest, MatMulBothInputs) {
@@ -164,13 +159,6 @@ TEST(GradCheckTest, ConcatColsAllInputs) {
   });
 }
 
-TEST(GradCheckTest, ConcatRowsAllInputs) {
-  std::vector<Var> leaves = {Leaf(2, 3, 26), Leaf(1, 3, 27)};
-  CheckGradients(leaves, [&] {
-    return Sum(Square(ConcatRows({leaves[0], leaves[1]})));
-  });
-}
-
 TEST(GradCheckTest, SliceColsGrad) {
   std::vector<Var> leaves = {Leaf(3, 5, 19)};
   CheckGradients(leaves,
@@ -201,12 +189,10 @@ TEST(GradCheckTest, ReductionGrads) {
   std::vector<Var> leaves = {Leaf(3, 4, 25)};
   CheckGradients(leaves, [&] { return Mean(Square(leaves[0])); });
   CheckGradients(leaves, [&] { return Sum(Square(RowSum(leaves[0]))); });
-  CheckGradients(leaves, [&] { return Sum(Square(RowMean(leaves[0]))); });
   CheckGradients(leaves,
                  [&] { return Sum(Square(SumOverRows(leaves[0]))); });
   CheckGradients(leaves,
                  [&] { return Sum(Square(MeanOverRows(leaves[0]))); });
-  CheckGradients(leaves, [&] { return SumSquares(leaves[0]); });
 }
 
 TEST(GradCheckTest, BlockMixBothInputs) {

@@ -86,18 +86,6 @@ TEST(MlpTest, GradientFlowsToAllParameters) {
 // Optimizers: convergence on a quadratic and a small regression.
 // ---------------------------------------------------------------------------
 
-TEST(SgdTest, MinimizesQuadratic) {
-  Var x(Tensor::Full(1, 1, 5.0f), true);
-  Sgd opt({x}, 0.1f);
-  for (int i = 0; i < 100; ++i) {
-    opt.ZeroGrad();
-    Var loss = Square(x);
-    loss.Backward();
-    opt.Step();
-  }
-  EXPECT_NEAR(x.value().item(), 0.0f, 1e-3);
-}
-
 TEST(AdamTest, MinimizesQuadratic) {
   Var x(Tensor::Full(1, 1, 5.0f), true);
   Adam opt({x}, 0.3f);
@@ -150,7 +138,7 @@ TEST(AdamTest, WeightDecayShrinksUnusedParams) {
 
 TEST(ClipGradNormTest, ScalesDownLargeGradients) {
   Var x(Tensor::Full(1, 4, 10.0f), true);
-  Var loss = SumSquares(x);  // grad = 2x = 20 each; norm = 40
+  Var loss = Sum(Square(x));  // grad = 2x = 20 each; norm = 40
   x.ZeroGrad();
   loss.Backward();
   std::vector<Var> params = {x};
@@ -175,7 +163,7 @@ TEST(ClipGradNormTest, NoopBelowThreshold) {
 
 TEST(OptimizerDeathTest, RejectsNonGradParams) {
   Var constant(Tensor::Scalar(1.0f), false);
-  EXPECT_DEATH(Sgd({constant}, 0.1f), "requires_grad");
+  EXPECT_DEATH(Adam({constant}, 0.1f), "requires_grad");
 }
 
 }  // namespace

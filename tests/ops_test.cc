@@ -22,8 +22,6 @@ TEST(OpsTest, AddSubMulDiv) {
                        Tensor::FromVector(2, 2, {-3, -1, 1, 3})));
   EXPECT_TRUE(AllClose(Mul(a, b).value(),
                        Tensor::FromVector(2, 2, {4, 6, 6, 4})));
-  EXPECT_TRUE(AllClose(Div(a, b).value(),
-                       Tensor::FromVector(2, 2, {0.25f, 2.f / 3, 1.5f, 4})));
 }
 
 TEST(OpsTest, ScalarOps) {
@@ -81,13 +79,6 @@ TEST(OpsTest, ConcatCols) {
                        Tensor::FromVector(2, 3, {1, 3, 4, 2, 5, 6})));
 }
 
-TEST(OpsTest, ConcatRows) {
-  Var a = V({1, 2}, 1, 2);
-  Var b = V({3, 4, 5, 6}, 2, 2);
-  EXPECT_TRUE(AllClose(ConcatRows({a, b}).value(),
-                       Tensor::FromVector(3, 2, {1, 2, 3, 4, 5, 6})));
-}
-
 TEST(OpsTest, SliceColsAndRows) {
   Var a = V({1, 2, 3, 4, 5, 6}, 2, 3);
   EXPECT_TRUE(AllClose(SliceCols(a, 1, 2).value(),
@@ -124,18 +115,8 @@ TEST(OpsTest, UnaryValues) {
 
 TEST(OpsTest, ExpLogSquare) {
   Var a = V({1.0f, 2.0f}, 1, 2);
-  EXPECT_NEAR(Exp(a).value().at(0, 1), std::exp(2.0), 1e-5);
   EXPECT_NEAR(Log(a).value().at(0, 1), std::log(2.0), 1e-6);
   EXPECT_FLOAT_EQ(Square(a).value().at(0, 1), 4.0f);
-}
-
-TEST(OpsTest, SoftplusStableAtExtremes) {
-  Var a = V({-100.0f, 0.0f, 100.0f}, 1, 3);
-  Tensor sp = Softplus(a).value();
-  EXPECT_NEAR(sp.at(0, 0), 0.0, 1e-6);
-  EXPECT_NEAR(sp.at(0, 1), std::log(2.0), 1e-6);
-  EXPECT_NEAR(sp.at(0, 2), 100.0, 1e-4);
-  EXPECT_TRUE(std::isfinite(sp.at(0, 2)));
 }
 
 TEST(OpsTest, LogSigmoidStable) {
@@ -151,13 +132,10 @@ TEST(OpsTest, Reductions) {
   EXPECT_FLOAT_EQ(Sum(a).value().item(), 21.0f);
   EXPECT_FLOAT_EQ(Mean(a).value().item(), 3.5f);
   EXPECT_TRUE(AllClose(RowSum(a).value(), Tensor::FromVector(2, 1, {6, 15})));
-  EXPECT_TRUE(
-      AllClose(RowMean(a).value(), Tensor::FromVector(2, 1, {2, 5})));
   EXPECT_TRUE(AllClose(SumOverRows(a).value(),
                        Tensor::FromVector(1, 3, {5, 7, 9})));
   EXPECT_TRUE(AllClose(MeanOverRows(a).value(),
                        Tensor::FromVector(1, 3, {2.5f, 3.5f, 4.5f})));
-  EXPECT_FLOAT_EQ(SumSquares(a).value().item(), 91.0f);
 }
 
 TEST(OpsTest, RowSoftmaxRowsSumToOne) {

@@ -1,6 +1,6 @@
 // Tests for the serving layer: ModelPool double-buffered versions
-// (checkpoint load, atomic swap, failed-load isolation), the dynamic
-// batching Server (correctness vs direct scoring, coalescing, the
+// (checkpoint load, atomic swap, failed-load isolation), the batching
+// Server (correctness vs direct scoring, coalescing, the
 // per-version score cache, backpressure and deadline shedding, graceful
 // drain) and the zero-downtime swap contract — every response produced
 // while checkpoints are hot-swapped mid-traffic is bitwise attributable
@@ -104,6 +104,29 @@ class ServeTestBase : public ::testing::Test {
     }
     return expected;
   }
+
+  /// Occupies the lone worker of `server`: a delay on the first scored
+  /// key holds it for `hold_ms` while it scores a blocker request, and
+  /// this returns (with the blocker's future) once the worker has taken
+  /// the blocker off the queue. Requests submitted next wait in the
+  /// queue, and the worker picks them up together when the delay ends.
+  static std::future<Response> OccupyWorker(Server* server,
+                                            int64_t hold_ms = 200) {
+    fault::Injection delay;
+    delay.kind = fault::Injection::Kind::kDelay;
+    delay.match = "serve.score";
+    delay.ms = hold_ms;
+    delay.every = std::numeric_limits<int64_t>::max();  // first key only
+    fault::Install(delay);
+    Request blocker;
+    blocker.task = TaskKind::kTopKItems;
+    blocker.user = 0;
+    std::future<Response> future = server->Submit(blocker);
+    while (server->queue_depth() > 0) std::this_thread::yield();
+    return future;
+  }
+
+  void TearDown() override { fault::Clear(); }
 
   GroupBuyingDataset dataset_;
   GraphInputs graphs_;
@@ -232,7 +255,6 @@ TEST_F(ServeServerTest, ResponsesMatchDirectScoringBitwise) {
 
   ServerConfig config;
   config.n_workers = 2;
-  config.batch_timeout_us = 500;
   Server server(&pool, config);
 
   std::vector<Request> requests;
@@ -274,9 +296,10 @@ TEST_F(ServeServerTest, DuplicateKeysInOneBatchAreScoredOnce) {
   ServerConfig config;
   config.n_workers = 1;
   config.max_batch = 64;
-  config.batch_timeout_us = 200 * 1000;  // hold the batch open
   Server server(&pool, config);
+  std::future<Response> blocker = OccupyWorker(&server);
 
+  // All n queue behind the blocker and form the worker's next batch.
   const int64_t n = 16;
   Request r;
   r.task = TaskKind::kTopKItems;
@@ -284,6 +307,7 @@ TEST_F(ServeServerTest, DuplicateKeysInOneBatchAreScoredOnce) {
   r.k = 4;
   std::vector<std::future<Response>> futures;
   for (int64_t i = 0; i < n; ++i) futures.push_back(server.Submit(r));
+  EXPECT_EQ(blocker.get().code, ResponseCode::kOk);
   std::vector<Response> responses;
   for (auto& f : futures) responses.push_back(f.get());
 
@@ -293,9 +317,9 @@ TEST_F(ServeServerTest, DuplicateKeysInOneBatchAreScoredOnce) {
     EXPECT_EQ(responses[i].scores, responses[0].scores);
   }
   const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.unique_scored, 1);
+  EXPECT_EQ(stats.unique_scored, 2);  // the blocker's key + the shared one
   EXPECT_EQ(stats.coalesced, n - 1);
-  EXPECT_EQ(stats.batches, 1);
+  EXPECT_EQ(stats.batches, 2);
 }
 
 TEST_F(ServeServerTest, CacheServesRepeatKeysAcrossBatches) {
@@ -304,7 +328,6 @@ TEST_F(ServeServerTest, CacheServesRepeatKeysAcrossBatches) {
 
   ServerConfig config;
   config.n_workers = 1;
-  config.batch_timeout_us = 100;
   config.cache_capacity = 8;
   Server server(&pool, config);
 
@@ -333,7 +356,6 @@ TEST_F(ServeServerTest, CacheEvictsLeastRecentlyUsedKey) {
 
   ServerConfig config;
   config.n_workers = 1;
-  config.batch_timeout_us = 100;
   config.cache_capacity = 2;
   Server server(&pool, config);
 
@@ -355,15 +377,14 @@ TEST_F(ServeServerTest, ShedsWithBackpressureWhenQueueIsFull) {
   ModelPool pool(Factory(3));
   pool.Install(MakeModel(1), "seed");
 
-  // max_batch larger than the queue capacity and a long timeout: the
-  // batcher holds its batch open while submissions pile up, so the
-  // bounded queue must shed the overflow.
+  // The lone worker is busy, so submissions pile up in the admission
+  // queue and the bounded queue must shed the overflow.
   ServerConfig config;
   config.queue_capacity = 4;
   config.max_batch = 64;
-  config.batch_timeout_us = 300 * 1000;
   config.n_workers = 1;
   Server server(&pool, config);
+  std::future<Response> blocker = OccupyWorker(&server);
 
   Request r;
   r.task = TaskKind::kTopKItems;
@@ -379,8 +400,9 @@ TEST_F(ServeServerTest, ShedsWithBackpressureWhenQueueIsFull) {
   }
   EXPECT_EQ(ok, 4);
   EXPECT_EQ(shed, 6);
+  EXPECT_EQ(blocker.get().code, ResponseCode::kOk);
   const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.admitted, 4);
+  EXPECT_EQ(stats.admitted, 5);  // the blocker + the 4 queued
   EXPECT_EQ(stats.shed_queue_full, 6);
 }
 
@@ -390,13 +412,13 @@ TEST_F(ServeServerTest, ShedsExpiredDeadlinesAtAdmissionAndInBatch) {
 
   ServerConfig config;
   config.n_workers = 1;
-  config.batch_timeout_us = 100 * 1000;
   Server server(&pool, config);
 
   // The monotonic clock starts at 0 on its first use in the process;
   // spin past it so NowMicros() - 1 is a real (positive) deadline.
   while (trace::NowMicros() <= 1) {
   }
+  std::future<Response> blocker = OccupyWorker(&server);
 
   // Already expired at Submit: shed immediately, never queued.
   Request expired;
@@ -405,25 +427,25 @@ TEST_F(ServeServerTest, ShedsExpiredDeadlinesAtAdmissionAndInBatch) {
   expired.deadline_us = trace::NowMicros() - 1;
   EXPECT_EQ(server.Submit(expired).get().code, ResponseCode::kShedDeadline);
 
-  // Expires while waiting for the 100ms batch window: shed at scoring
+  // Expires while queued behind the 200 ms blocker: shed at scoring
   // time, not served late.
   Request queued;
   queued.task = TaskKind::kTopKItems;
   queued.user = 0;
-  queued.deadline_us = trace::NowMicros() + 5 * 1000;
+  queued.deadline_us = trace::NowMicros() + 50 * 1000;
   EXPECT_EQ(server.Submit(queued).get().code, ResponseCode::kShedDeadline);
+  EXPECT_EQ(blocker.get().code, ResponseCode::kOk);
 
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.shed_deadline, 2);
-  EXPECT_EQ(stats.completed, 0);
-  EXPECT_EQ(stats.admitted, 1);
+  EXPECT_EQ(stats.completed, 1);  // the blocker
+  EXPECT_EQ(stats.admitted, 2);
 }
 
 TEST_F(ServeServerTest, RejectsOutOfCatalogueKeys) {
   ModelPool pool(Factory(3));
   pool.Install(MakeModel(1), "seed");
   ServerConfig config;
-  config.batch_timeout_us = 100;
   Server server(&pool, config);
 
   Request bad_user;
@@ -442,26 +464,40 @@ TEST_F(ServeServerTest, RejectsOutOfCatalogueKeys) {
   EXPECT_EQ(server.stats().invalid, 2);
 }
 
-TEST_F(ServeServerTest, BatchClosesOnSizeBeforeTimeout) {
+TEST_F(ServeServerTest, OnePickupTakesAtMostMaxBatch) {
   ModelPool pool(Factory(3));
   pool.Install(MakeModel(1), "seed");
 
   ServerConfig config;
   config.max_batch = 4;
-  config.batch_timeout_us = 10 * 1000 * 1000;  // 10s: size must win
   config.n_workers = 1;
   Server server(&pool, config);
+  std::future<Response> blocker = OccupyWorker(&server);
 
-  Request r;
-  r.task = TaskKind::kTopKItems;
-  r.user = 0;
+  // Ten requests queue behind the blocker; the worker then takes them
+  // in FIFO pickups of 4, 4 and 2.
   std::vector<std::future<Response>> futures;
-  for (int i = 0; i < 4; ++i) futures.push_back(server.Submit(r));
-  for (auto& f : futures) {
-    ASSERT_EQ(f.wait_for(std::chrono::seconds(5)), std::future_status::ready);
-    EXPECT_EQ(f.get().code, ResponseCode::kOk);
+  for (int i = 0; i < 10; ++i) {
+    Request r;
+    r.task = TaskKind::kTopKItems;
+    r.user = i % graphs_.n_users;
+    futures.push_back(server.Submit(r));
   }
-  EXPECT_EQ(server.stats().batches, 1);
+  EXPECT_EQ(blocker.get().code, ResponseCode::kOk);
+  std::vector<int64_t> taken_at;
+  for (auto& f : futures) {
+    const Response resp = f.get();
+    ASSERT_EQ(resp.code, ResponseCode::kOk);
+    taken_at.push_back(resp.batch_close_us);
+  }
+  for (size_t i = 1; i < taken_at.size(); ++i) {
+    if (i % 4 == 0) {
+      EXPECT_LT(taken_at[i - 1], taken_at[i]) << "request " << i;
+    } else {
+      EXPECT_EQ(taken_at[i - 1], taken_at[i]) << "request " << i;
+    }
+  }
+  EXPECT_EQ(server.stats().batches, 4);
 }
 
 TEST_F(ServeServerTest, StopDrainsAdmittedRequestsAndRejectsNewOnes) {
@@ -469,7 +505,6 @@ TEST_F(ServeServerTest, StopDrainsAdmittedRequestsAndRejectsNewOnes) {
   pool.Install(MakeModel(1), "seed");
 
   ServerConfig config;
-  config.batch_timeout_us = 500 * 1000;  // drain must not wait for this
   config.n_workers = 2;
   Server server(&pool, config);
 
@@ -493,7 +528,6 @@ TEST_F(ServeServerTest, ConcurrentSubmittersAccountForEveryRequest) {
 
   ServerConfig config;
   config.n_workers = 2;
-  config.batch_timeout_us = 1000;
   config.cache_capacity = 64;
   Server server(&pool, config);
 
@@ -547,7 +581,6 @@ TEST_F(ServeSwapTest, HotSwapMidTrafficEveryResponseBitwiseAttributable) {
 
   ServerConfig config;
   config.n_workers = 2;
-  config.batch_timeout_us = 500;
   config.cache_capacity = 32;  // also exercises swap invalidation
   Server server(&pool, config);
 
@@ -735,7 +768,6 @@ TEST_F(ServeRetrievalTest, HotSwapNeverServesAStaleIndex) {
   ASSERT_TRUE(pool.LoadVersion(ckpt_a).ok());  // id 1 = A
   ServerConfig config;
   config.n_workers = 2;
-  config.batch_timeout_us = 500;
   config.cache_capacity = 32;
   config.retrieval.enabled = true;
   Server server(&pool, config);
@@ -825,7 +857,6 @@ TEST_F(ServeObsTest, ResponsesCarryIdsAndStageTimestamps) {
   ModelPool pool(Factory(3));
   pool.Install(MakeModel(1), "seed");
   ServerConfig config;
-  config.batch_timeout_us = 500;
   config.n_workers = 1;
   Server server(&pool, config);
 
@@ -877,7 +908,6 @@ TEST_F(ServeObsTest, HealthzTracksDrainAndHotSwap) {
   ModelPool pool(Factory(3));
   pool.Install(MakeModel(1), "a");
   ServerConfig config;
-  config.batch_timeout_us = 1000;
   Server server(&pool, config);
 
   EXPECT_EQ(server.state(), Server::State::kRunning);
@@ -927,7 +957,6 @@ TEST_F(ServeObsTest, ExporterServesScrapesWhileServing) {
   ModelPool pool(Factory(3));
   pool.Install(MakeModel(1), "seed");
   ServerConfig config;
-  config.batch_timeout_us = 500;
   config.obs.metrics_port = 0;  // ephemeral
   config.obs.flight_capacity = 16;
   Server server(&pool, config);
@@ -963,28 +992,29 @@ TEST_F(ServeObsTest, ShedBurstTriggersFlightDump) {
   ServerConfig config;
   config.queue_capacity = 2;
   config.max_batch = 64;
-  config.batch_timeout_us = 200 * 1000;  // hold the batch open
   config.n_workers = 1;
   config.obs.flight_capacity = 64;
   config.obs.flight_dump_path = dump_path;
   config.obs.flight_dump_shed_threshold = 0.05;
   Server server(&pool, config);
+  // Make the evaluation deterministic: stop the 1 Hz ticker, then
+  // evaluate the window that absorbed the burst once it is over.
+  ASSERT_NE(server.slo_monitor(), nullptr);
+  server.slo_monitor()->Stop();
+  std::future<Response> blocker = OccupyWorker(&server);
 
+  // Two fit in the queue behind the busy worker; the rest shed.
   Request r;
   r.task = TaskKind::kTopKItems;
   r.user = 1;
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 12; ++i) futures.push_back(server.Submit(r));
+  EXPECT_EQ(blocker.get().code, ResponseCode::kOk);
   int64_t shed = 0;
   for (auto& f : futures) {
     if (f.get().code == ResponseCode::kShedQueueFull) ++shed;
   }
-  ASSERT_GE(shed, 8);  // a real burst, way past the 5% threshold
-
-  // Make the evaluation deterministic: stop the 1 Hz ticker, then
-  // evaluate the window that just absorbed the burst.
-  ASSERT_NE(server.slo_monitor(), nullptr);
-  server.slo_monitor()->Stop();
+  ASSERT_EQ(shed, 10);  // a real burst, way past the 5% threshold
   server.slo_monitor()->Evaluate(trace::NowMicros());
   EXPECT_EQ(server.flight_dumps(), 1);
 
@@ -1014,8 +1044,6 @@ TEST_F(ServeObsTest, ShedBurstTriggersFlightDump) {
 
 class ServeValidationTest : public ServeTestBase {
  protected:
-  void TearDown() override { fault::Clear(); }
-
   static serve::ValidationConfig Gate(double min_ref_overlap = 0.0) {
     serve::ValidationConfig config;
     config.enabled = true;
@@ -1324,6 +1352,10 @@ TEST_F(ServeDegradeTest, ShedTierAdmitsOneInNAndReleasesCleanly) {
   config.degrade.step_up_after = 1;
   config.degrade.step_down_after = 1;
   config.degrade.shed_keep_one_in = 4;
+  // The tight-deadline clamp (tier 3) also applies at tier 4. A kept
+  // request that queues behind a slow score (sanitizer builds) must not
+  // expire under it: this test is about one-in-N admission.
+  config.degrade.admission_budget_us = 60'000'000;
   Server server(&pool, config);
   ASSERT_NE(server.slo_monitor(), nullptr);
   server.slo_monitor()->Stop();
@@ -1373,10 +1405,7 @@ TEST_F(ServeDegradeTest, ShedTierAdmitsOneInNAndReleasesCleanly) {
 // Worker stall watchdog. Runs under TSan in CI.
 // ---------------------------------------------------------------------------
 
-class WatchdogTest : public ServeTestBase {
- protected:
-  void TearDown() override { fault::Clear(); }
-};
+class WatchdogTest : public ServeTestBase {};
 
 TEST_F(WatchdogTest, ReplacesStalledWorkersWithoutDroppingRequests) {
   // Every 2nd scored key sleeps 250 ms — far past the 80 ms stall
@@ -1394,7 +1423,6 @@ TEST_F(WatchdogTest, ReplacesStalledWorkersWithoutDroppingRequests) {
   ServerConfig config;
   config.n_workers = 2;
   config.max_batch = 4;
-  config.batch_timeout_us = 500;
   config.watchdog.enabled = true;
   config.watchdog.stall_timeout_ms = 80;
   config.watchdog.check_interval_ms = 10;
@@ -1466,7 +1494,6 @@ TEST_F(ServeLifecycleTest, ConcurrentStopSwapSubmitAccountsForEverything) {
   ServerConfig config;
   config.queue_capacity = 64;
   config.max_batch = 8;
-  config.batch_timeout_us = 300;
   config.n_workers = 2;
   Server server(&pool, config);
 
