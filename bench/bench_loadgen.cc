@@ -976,6 +976,8 @@ int Run(const LoadgenOptions& opt) {
     out += ",\"quant_scored\":" + std::to_string(stats.quant_scored);
     out += ",\"shed_load\":" + std::to_string(stats.shed_load);
     out += ",\"worker_restarts\":" + std::to_string(stats.worker_restarts);
+    // Flight-recorder dumps the SLO monitor's shed trigger wrote.
+    out += ",\"flight_dumps\":" + std::to_string(server.flight_dumps());
     // Final bound port (ephemeral-port runs included), so the CI scrape
     // reconciliation can verify it scraped THIS server.
     out += ",\"metrics_port\":" + std::to_string(server.metrics_port());

@@ -9,17 +9,15 @@ MultiViewEmbedding::MultiViewEmbedding(const GraphInputs& graphs,
                                        const MgbrConfig& config, Rng* rng)
     : n_users_(graphs.n_users),
       n_items_(graphs.n_items),
-      single_hin_(config.use_single_hin),
-      a_ui_(graphs.a_ui),
-      a_pi_(graphs.a_pi),
-      a_up_(graphs.a_up),
-      a_hin_(graphs.a_hin) {
+      single_hin_(config.use_single_hin) {
   const int64_t n_all = n_users_ + n_items_;
   if (single_hin_) {
+    views_ = {BuildHeterogeneousAdjacency(graphs)};
     // One GCN of width 2d so downstream dimensions are unchanged.
     stacks_.emplace_back(n_all, 2 * config.dim, config.gcn_layers, rng,
                          config.gcn_activation);
   } else {
+    views_ = {graphs.a_ui, graphs.a_pi, graphs.a_up};
     const Activation act = config.gcn_activation;
     stacks_.emplace_back(n_all, config.dim, config.gcn_layers, rng, act);
     stacks_.emplace_back(n_all, config.dim, config.gcn_layers, rng, act);
@@ -31,15 +29,15 @@ MultiViewEmbedding::Output MultiViewEmbedding::Forward() const {
   MGBR_TRACE_SPAN("mgbr.multi_view_forward", "core");
   Output out;
   if (single_hin_) {
-    Var x = stacks_[0].Forward(a_hin_);
+    Var x = stacks_[0].Forward(views_[0]);
     out.users = SliceRows(x, 0, n_users_);
     out.items = SliceRows(x, n_users_, n_items_);
     out.parts = out.users;  // no role separation in the HIN variant
     return out;
   }
-  Var x_ui = stacks_[0].Forward(a_ui_);
-  Var x_pi = stacks_[1].Forward(a_pi_);
-  Var x_up = stacks_[2].Forward(a_up_);
+  Var x_ui = stacks_[0].Forward(views_[0]);
+  Var x_pi = stacks_[1].Forward(views_[1]);
+  Var x_up = stacks_[2].Forward(views_[2]);
 
   Var u_ui = SliceRows(x_ui, 0, n_users_);
   Var i_ui = SliceRows(x_ui, n_users_, n_items_);

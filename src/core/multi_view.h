@@ -45,12 +45,9 @@ class MultiViewEmbedding {
   int64_t n_users_;
   int64_t n_items_;
   bool single_hin_;
-  SharedCsr a_ui_;
-  SharedCsr a_pi_;
-  SharedCsr a_up_;
-  SharedCsr a_hin_;
-  // Three-view stacks (unused when single_hin_).
-  std::vector<GcnStack> stacks_;  // [UI, PI, UP] or [HIN]
+  // One GCN stack per view propagated over.
+  std::vector<SharedCsr> views_;  // [UI, PI, UP] or [HIN]
+  std::vector<GcnStack> stacks_;
 };
 
 }  // namespace mgbr

@@ -2,6 +2,8 @@
 #define MGBR_GRAPH_CSR_MATRIX_H_
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/check.h"
@@ -18,15 +20,25 @@ struct Coo {
 
 /// Immutable square-or-rectangular sparse matrix in CSR layout.
 ///
-/// Built once from COO triplets (duplicates are summed) and then used
-/// read-only for SpMM inside GCN propagation. Row-major CSR matches the
-/// dense row-major Tensor layout so `out = A @ X` streams X rows.
+/// Always canonical: each row's columns are strictly increasing, so
+/// equal matrices hold byte-identical arrays however they were built.
+/// Built once and then used read-only for SpMM inside GCN propagation.
+/// Row-major CSR matches the dense row-major Tensor layout so
+/// `out = A @ X` streams X rows.
 class CsrMatrix {
  public:
   /// Empty matrix of the given shape.
   CsrMatrix(int64_t rows, int64_t cols);
 
-  /// Builds from COO triplets; duplicate (row, col) entries are summed.
+  /// Takes canonical CSR arrays: `row_ptr` holds rows + 1 non-decreasing
+  /// offsets from 0 to nnz, and each row's columns are strictly
+  /// increasing within [0, cols). Checked in O(nnz + rows).
+  CsrMatrix(int64_t rows, int64_t cols, std::vector<int64_t> row_ptr,
+            std::vector<int64_t> col_idx, std::vector<float> values);
+
+  /// Builds from COO triplets in O(nnz + rows): a counting pass buckets
+  /// the entries by row, then each row is sorted by column. Duplicate
+  /// (row, col) entries are summed in input order.
   static CsrMatrix FromCoo(int64_t rows, int64_t cols,
                            std::vector<Coo> entries);
 
@@ -55,8 +67,8 @@ class CsrMatrix {
   Tensor Multiply(const Tensor& dense) const;
 
   /// out = thisᵀ @ dense. dense must be (rows() x d). Used by the SpMM
-  /// backward pass; reads the precomputed transpose layout so the
-  /// kernel is row-parallel over output rows.
+  /// backward pass; reads the transpose layout (built by the first
+  /// call) so the kernel is row-parallel over output rows.
   Tensor TransposeMultiply(const Tensor& dense) const;
 
   /// Per-row sum of values (weighted out-degree).
@@ -66,21 +78,28 @@ class CsrMatrix {
   Tensor ToDense() const;
 
  private:
-  /// Fills t_row_ptr_/t_col_idx_/t_values_ (the CSC view) from the CSR
-  /// arrays. Called once at construction; the matrix is immutable after.
-  void BuildTranspose();
+  /// Transpose in CSR layout (== CSC of this matrix), so
+  /// TransposeMultiply can partition output rows across threads without
+  /// scatter races. Entry lists are ordered by ascending original row.
+  struct Transpose {
+    std::vector<int64_t> row_ptr;
+    std::vector<int64_t> col_idx;
+    std::vector<float> values;
+  };
+
+  /// Builds the transpose once, on first use by any thread. Only
+  /// training's SpMM backward reads it, so a graph that is only
+  /// normalized, or only propagated forward, never pays for it.
+  const Transpose& transpose() const;
 
   int64_t rows_;
   int64_t cols_;
   std::vector<int64_t> row_ptr_;
   std::vector<int64_t> col_idx_;
   std::vector<float> values_;
-  // Transpose in CSR layout (== CSC of this matrix), built eagerly so
-  // TransposeMultiply can partition output rows across threads without
-  // scatter races. Entry lists are ordered by ascending original row.
-  std::vector<int64_t> t_row_ptr_;
-  std::vector<int64_t> t_col_idx_;
-  std::vector<float> t_values_;
+  mutable std::unique_ptr<std::once_flag> transpose_once_ =
+      std::make_unique<std::once_flag>();
+  mutable std::unique_ptr<const Transpose> transpose_;
 };
 
 }  // namespace mgbr

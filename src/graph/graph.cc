@@ -1,6 +1,7 @@
 #include "graph/graph.h"
 
 #include <cmath>
+#include <utility>
 
 namespace mgbr {
 namespace {
@@ -11,19 +12,11 @@ void AddSymmetric(std::vector<Coo>* entries, int64_t a, int64_t b) {
   entries->push_back({b, a, 1.0f});
 }
 
-
-/// Replaces every stored value with 1 (binary adjacency), merging
-/// duplicate interactions.
+/// Replaces every stored value with 1 (binary adjacency). The pattern
+/// is already sorted and merged, so it is copied as it stands.
 CsrMatrix BinaryClamp(const CsrMatrix& raw) {
-  std::vector<Coo> binary;
-  binary.reserve(static_cast<size_t>(raw.nnz()));
-  for (int64_t r = 0; r < raw.rows(); ++r) {
-    auto [begin, end] = raw.RowRange(r);
-    for (int64_t k = begin; k < end; ++k) {
-      binary.push_back({r, raw.col_idx()[static_cast<size_t>(k)], 1.0f});
-    }
-  }
-  return CsrMatrix::FromCoo(raw.rows(), raw.cols(), std::move(binary));
+  return CsrMatrix(raw.rows(), raw.cols(), raw.row_ptr(), raw.col_idx(),
+                   std::vector<float>(static_cast<size_t>(raw.nnz()), 1.0f));
 }
 
 }  // namespace
@@ -76,58 +69,63 @@ CsrMatrix GraphBuilder::BuildUserUser() const {
   return BinaryClamp(CsrMatrix::FromCoo(n_users_, n_users_, std::move(entries)));
 }
 
-CsrMatrix GraphBuilder::BuildJointUserItem() const {
-  const int64_t n = n_users_ + n_items_;
-  std::vector<Coo> entries;
-  entries.reserve((launches_.size() + joins_.size()) * 2);
-  for (const auto& [u, i] : launches_) {
-    AddSymmetric(&entries, u, n_users_ + i);
-  }
-  for (const auto& [p, i] : joins_) {
-    AddSymmetric(&entries, p, n_users_ + i);
-  }
-  return BinaryClamp(CsrMatrix::FromCoo(n, n, std::move(entries)));
-}
-
-CsrMatrix GraphBuilder::BuildHeterogeneous() const {
-  const int64_t n = n_users_ + n_items_;
-  std::vector<Coo> entries;
-  entries.reserve((launches_.size() + joins_.size() + socials_.size()) * 2);
-  for (const auto& [u, i] : launches_) {
-    AddSymmetric(&entries, u, n_users_ + i);
-  }
-  for (const auto& [p, i] : joins_) {
-    AddSymmetric(&entries, p, n_users_ + i);
-  }
-  for (const auto& [u, p] : socials_) {
-    AddSymmetric(&entries, u, p);
-  }
-  return BinaryClamp(CsrMatrix::FromCoo(n, n, std::move(entries)));
-}
-
 CsrMatrix NormalizeAdjacency(const CsrMatrix& adj) {
   MGBR_CHECK_EQ(adj.rows(), adj.cols());
   const int64_t n = adj.rows();
-  // Degrees of A + I.
-  std::vector<double> degree = adj.RowSums();
-  for (auto& d : degree) d += 1.0;
+  // D^{-1/2} of A + I.
+  std::vector<double> inv_sqrt = adj.RowSums();
+  for (double& d : inv_sqrt) d = 1.0 / std::sqrt(d + 1.0);
 
-  std::vector<Coo> entries;
-  entries.reserve(static_cast<size_t>(adj.nnz()) + static_cast<size_t>(n));
+  std::vector<int64_t> row_ptr(static_cast<size_t>(n) + 1, 0);
+  std::vector<int64_t> col_idx;
+  std::vector<float> values;
+  col_idx.reserve(static_cast<size_t>(adj.nnz() + n));
+  values.reserve(static_cast<size_t>(adj.nnz() + n));
   for (int64_t r = 0; r < n; ++r) {
     auto [begin, end] = adj.RowRange(r);
-    const double dr = 1.0 / std::sqrt(degree[static_cast<size_t>(r)]);
+    const double dr = inv_sqrt[static_cast<size_t>(r)];
+    const float self_loop = static_cast<float>(dr * dr);
+    bool looped = false;
     for (int64_t k = begin; k < end; ++k) {
       const int64_t c = adj.col_idx()[static_cast<size_t>(k)];
-      const double dc = 1.0 / std::sqrt(degree[static_cast<size_t>(c)]);
-      entries.push_back(
-          {r, c,
-           static_cast<float>(adj.values()[static_cast<size_t>(k)] * dr * dc)});
+      float v = static_cast<float>(adj.values()[static_cast<size_t>(k)] * dr *
+                                   inv_sqrt[static_cast<size_t>(c)]);
+      if (!looped && c >= r) {
+        looped = true;
+        if (c == r) {
+          v += self_loop;  // A's own diagonal entry, then the loop
+        } else {
+          col_idx.push_back(r);
+          values.push_back(self_loop);
+        }
+      }
+      col_idx.push_back(c);
+      values.push_back(v);
     }
-    // Self loop.
-    entries.push_back({r, r, static_cast<float>(dr * dr)});
+    if (!looped) {
+      col_idx.push_back(r);
+      values.push_back(self_loop);
+    }
+    row_ptr[static_cast<size_t>(r) + 1] = static_cast<int64_t>(col_idx.size());
   }
-  return CsrMatrix::FromCoo(n, n, std::move(entries));
+  return CsrMatrix(n, n, std::move(row_ptr), std::move(col_idx),
+                   std::move(values));
+}
+
+CsrMatrix UnionEdges(int64_t n,
+                     std::initializer_list<const CsrMatrix*> views) {
+  std::vector<Coo> entries;
+  for (const CsrMatrix* view : views) {
+    MGBR_CHECK(view->rows() <= n && view->cols() <= n);
+    for (int64_t r = 0; r < view->rows(); ++r) {
+      auto [begin, end] = view->RowRange(r);
+      for (int64_t k = begin; k < end; ++k) {
+        const int64_t c = view->col_idx()[static_cast<size_t>(k)];
+        if (c != r) entries.push_back({r, c, 1.0f});
+      }
+    }
+  }
+  return BinaryClamp(CsrMatrix::FromCoo(n, n, std::move(entries)));
 }
 
 }  // namespace mgbr

@@ -1,6 +1,7 @@
 #ifndef MGBR_GRAPH_GRAPH_H_
 #define MGBR_GRAPH_GRAPH_H_
 
+#include <initializer_list>
 #include <memory>
 #include <vector>
 
@@ -15,8 +16,8 @@ namespace mgbr {
 ///    [n_users, n_users + n_items) in one node space, edge per launch;
 ///  * participant-view G_PI: same node space, edge per join;
 ///  * social-view      G_UP: users only, edge initiator-participant.
-/// It can also merge everything into one heterogeneous graph (variant
-/// MGBR-D).
+/// None has a self-edge. Graphs merging views (NGCF's joint user-item
+/// graph, MGBR-D's heterogeneous graph) are their union: UnionEdges.
 class GraphBuilder {
  public:
   GraphBuilder(int64_t n_users, int64_t n_items)
@@ -45,14 +46,6 @@ class GraphBuilder {
   /// paper, participant-participant edges are never added.
   CsrMatrix BuildUserUser() const;
 
-  /// Bipartite user-item graph merging BOTH roles' interactions
-  /// (launches and joins, no social edges); the graph NGCF runs on.
-  CsrMatrix BuildJointUserItem() const;
-
-  /// Single heterogeneous graph over (U+I) nodes containing launch,
-  /// join and social edges together (ablation MGBR-D).
-  CsrMatrix BuildHeterogeneous() const;
-
  private:
   int64_t n_users_;
   int64_t n_items_;
@@ -64,8 +57,17 @@ class GraphBuilder {
 /// Symmetrically normalized adjacency with self-loops:
 ///   Â = D^{-1/2} (A + I) D^{-1/2},
 /// the GCN propagation operator of Kipf & Welling used in Eqs. 1-3.
-/// `adj` must be square and is expected to be symmetric.
+/// `adj` must be square and is expected to be symmetric. O(nnz + n):
+/// rows are written in order with the self-loop slotted in by column.
 CsrMatrix NormalizeAdjacency(const CsrMatrix& adj);
+
+/// Binary adjacency over `n` nodes whose edges are the off-diagonal
+/// entries of `views`; a view smaller than n x n covers the top-left
+/// block (the U x U social view inside the (U+I) node space). Views of
+/// graphs without self-edges hold exactly their edges off the diagonal,
+/// normalized or not, so the union of Â(G_1), Â(G_2), ... is the raw
+/// adjacency of G_1 ∪ G_2 ∪ ....
+CsrMatrix UnionEdges(int64_t n, std::initializer_list<const CsrMatrix*> views);
 
 /// Shared handle used by models so one normalized adjacency can be
 /// captured by many autograd closures without copies.

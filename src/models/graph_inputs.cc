@@ -17,10 +17,19 @@ GraphInputs BuildGraphInputs(const GroupBuyingDataset& train) {
   inputs.a_ui = MakeShared(NormalizeAdjacency(builder.BuildUserItem()));
   inputs.a_pi = MakeShared(NormalizeAdjacency(builder.BuildParticipantItem()));
   inputs.a_up = MakeShared(NormalizeAdjacency(builder.BuildUserUser()));
-  inputs.a_joint =
-      MakeShared(NormalizeAdjacency(builder.BuildJointUserItem()));
-  inputs.a_hin = MakeShared(NormalizeAdjacency(builder.BuildHeterogeneous()));
   return inputs;
+}
+
+SharedCsr BuildJointAdjacency(const GraphInputs& graphs) {
+  const int64_t n = graphs.n_users + graphs.n_items;
+  return MakeShared(NormalizeAdjacency(
+      UnionEdges(n, {graphs.a_ui.get(), graphs.a_pi.get()})));
+}
+
+SharedCsr BuildHeterogeneousAdjacency(const GraphInputs& graphs) {
+  const int64_t n = graphs.n_users + graphs.n_items;
+  return MakeShared(NormalizeAdjacency(UnionEdges(
+      n, {graphs.a_ui.get(), graphs.a_pi.get(), graphs.a_up.get()})));
 }
 
 }  // namespace mgbr

@@ -11,7 +11,7 @@ LightGcn::LightGcn(const GraphInputs& graphs, int64_t dim, int64_t n_layers,
     : n_users_(graphs.n_users),
       n_items_(graphs.n_items),
       n_layers_(n_layers),
-      a_joint_(graphs.a_joint),
+      a_joint_(BuildJointAdjacency(graphs)),
       x0_(GaussianInit(graphs.n_users + graphs.n_items, dim, rng, 0.0f,
                        0.1f),
           /*requires_grad=*/true) {

@@ -9,7 +9,7 @@ namespace mgbr {
 Ngcf::Ngcf(const GraphInputs& graphs, int64_t dim, int64_t n_layers, Rng* rng)
     : n_users_(graphs.n_users),
       n_items_(graphs.n_items),
-      a_joint_(graphs.a_joint),
+      a_joint_(BuildJointAdjacency(graphs)),
       x0_(GaussianInit(graphs.n_users + graphs.n_items, dim, rng, 0.0f, 0.1f),
           true) {
   MGBR_CHECK_GE(n_layers, 1);

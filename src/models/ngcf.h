@@ -17,10 +17,9 @@ namespace mgbr {
 /// strongest baseline: it has no social-channel assumptions to violate.
 class Ngcf : public RecModel {
  public:
-  /// `a_joint` is the normalized adjacency over (U+I) nodes built from
-  /// ALL user-item interactions (the heterogeneous graph without
-  /// social edges works too; we use GraphInputs::a_hin restricted by
-  /// construction to train data).
+  /// Propagates over the joint adjacency (BuildJointAdjacency): the
+  /// normalized (U+I)-node graph of ALL training user-item
+  /// interactions, launches and joins alike, without social edges.
   Ngcf(const GraphInputs& graphs, int64_t dim, int64_t n_layers, Rng* rng);
 
   std::string name() const override { return "NGCF"; }

@@ -17,7 +17,6 @@
 namespace mgbr {
 namespace {
 
-constexpr char kMagicV1[8] = {'M', 'G', 'B', 'R', 'C', 'K', 'P', '1'};
 constexpr char kMagicV2[8] = {'M', 'G', 'B', 'R', 'C', 'K', 'P', '2'};
 constexpr uint32_t kFormatVersion = 2;
 // Far above any conceivable section count; rejects garbage headers
@@ -360,52 +359,6 @@ Status ParseTrainerSection(const Section& section, const std::string& path,
   return Status::OK();
 }
 
-// ---------------------------------------------------------------------------
-// Legacy v1 ("MGBRCKP1"): unchecksummed params-only stream. Kept
-// readable so pre-v2 checkpoints still load; all the hardening (bounds
-// checks, shape overflow, staged commit) applies on this path too.
-// ---------------------------------------------------------------------------
-
-Status LoadLegacyV1(const std::string& path, const std::string& bytes,
-                    const CheckpointReadRequest& request) {
-  if (request.optimizer != nullptr || request.rng != nullptr ||
-      request.trainer != nullptr) {
-    return Status::NotFound(
-        StrCat("legacy v1 checkpoint ", path,
-               " holds parameters only; optimizer/RNG/trainer state "
-               "was requested"));
-  }
-  Cursor cursor(bytes.data(), bytes.size());
-  if (!cursor.Skip(sizeof(kMagicV1))) {
-    return Corrupt(path, "file shorter than its magic");
-  }
-  uint64_t count = 0;
-  if (!cursor.ReadPod(&count)) {
-    return Corrupt(path, "truncated header");
-  }
-  std::vector<Var>& params = *request.params;
-  if (count != params.size()) {
-    return Status::InvalidArgument(
-        StrCat("parameter count mismatch: file has ", count, ", model has ",
-               params.size()));
-  }
-  std::vector<Tensor> staged;
-  staged.reserve(params.size());
-  for (size_t i = 0; i < params.size(); ++i) {
-    Tensor t;
-    MGBR_RETURN_NOT_OK(
-        ReadTensorBlocks(&cursor, path, i, params[i].value(), 1, {&t}));
-    staged.push_back(std::move(t));
-  }
-  if (!cursor.at_end()) {
-    return Corrupt(path, "trailing bytes after last parameter");
-  }
-  for (size_t i = 0; i < params.size(); ++i) {
-    params[i].mutable_value() = std::move(staged[i]);
-  }
-  return Status::OK();
-}
-
 constexpr char kCheckpointPrefix[] = "ckpt-";
 constexpr char kCheckpointSuffix[] = ".mgbr";
 constexpr char kTempSuffix[] = ".tmp";
@@ -519,12 +472,6 @@ Status LoadCheckpoint(const std::string& path,
   }
   MGBR_ASSIGN_OR_RETURN(std::string bytes, io::ReadFileToString(path));
 
-  if (bytes.size() >= sizeof(kMagicV1) &&
-      std::memcmp(bytes.data(), kMagicV1, sizeof(kMagicV1)) == 0) {
-    MGBR_RETURN_NOT_OK(LoadLegacyV1(path, bytes, request));
-    MGBR_COUNTER_ADD(LoadsCounter(), 1);
-    return Status::OK();
-  }
   if (bytes.size() < sizeof(kMagicV2) ||
       std::memcmp(bytes.data(), kMagicV2, sizeof(kMagicV2)) != 0) {
     return Status::InvalidArgument(StrCat("bad checkpoint magic in ", path));

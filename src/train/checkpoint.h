@@ -35,9 +35,6 @@ namespace mgbr {
 /// a reader never observes a half-written checkpoint under its final
 /// name. Every section carries a CRC32, so torn writes and bit flips
 /// are detected at load time instead of silently corrupting a model.
-///
-/// The legacy v1 format ("MGBRCKP1": params only, no checksums) is
-/// still readable through LoadParameters / LoadCheckpoint.
 
 /// Trainer bookkeeping that must survive a restart for a resumed run to
 /// continue exactly where the original left off (epoch cursor plus the
@@ -105,16 +102,16 @@ Status SerializeCheckpoint(const CheckpointWriteRequest& request,
 Status WriteCheckpointBytes(const std::string& bytes,
                             const std::string& path);
 
-/// Loads and verifies a checkpoint (v2 CRC-checked, or legacy v1 when
-/// only params are requested). Corruption — truncation, CRC mismatch,
-/// impossible counts/shapes — yields an error and leaves every target
-/// untouched.
+/// Loads and verifies a v2 checkpoint. Corruption — truncation, CRC
+/// mismatch, impossible counts/shapes — yields an error, and any other
+/// magic (the retired unchecksummed v1 "MGBRCKP1" included) an
+/// InvalidArgument; either way every target is left untouched.
 Status LoadCheckpoint(const std::string& path,
                       const CheckpointReadRequest& request);
 
-/// Params-only convenience wrappers (the pre-v2 API). SaveParameters
-/// now writes an atomic, CRC-protected v2 file; LoadParameters reads
-/// both v2 and legacy v1 files.
+/// Params-only convenience wrappers: SaveParameters writes an atomic,
+/// CRC-protected v2 file holding only the PAR1 section; LoadParameters
+/// reads the params of any v2 file.
 Status SaveParameters(const std::vector<Var>& params,
                       const std::string& path);
 Status LoadParameters(const std::string& path, std::vector<Var>* params);

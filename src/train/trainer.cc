@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <csignal>
 
 #include "common/checksum.h"
@@ -152,19 +153,22 @@ EpochStats Trainer::RunEpoch() {
                                               &rng_, streams);
     }
 
+    // This step's loss terms; they join the epoch sums only if the
+    // step is applied.
+    double loss_a = 0.0, loss_b = 0.0, aux_a = 0.0, aux_b = 0.0;
     Var loss;
     if (!batches_a.empty()) {
       MGBR_TRACE_SPAN("trainer.loss_a", "trainer");
       const TaskABatch& ba = batches_a[step % batches_a.size()];
       Var la = TaskALoss(model_, ba);
-      stats.loss_a += la.value().item();
+      loss_a = la.value().item();
       loss = la;
     }
     if (!batches_b.empty()) {
       MGBR_TRACE_SPAN("trainer.loss_b", "trainer");
       const TaskBBatch& bb = batches_b[step % batches_b.size()];
       Var lb = TaskBLoss(model_, bb);
-      stats.loss_b += lb.value().item();
+      loss_b = lb.value().item();
       Var weighted = MulScalar(lb, beta);
       loss = loss.defined() ? Add(loss, weighted) : weighted;
     }
@@ -173,8 +177,8 @@ EpochStats Trainer::RunEpoch() {
       const AuxBatch& bx = batches_aux[step % batches_aux.size()];
       Var laa = AuxLossA(mgbr_, bx);
       Var lab = AuxLossB(mgbr_, bx);
-      stats.aux_a += laa.value().item();
-      stats.aux_b += lab.value().item();
+      aux_a = laa.value().item();
+      aux_b = lab.value().item();
       loss = Add(loss, Add(MulScalar(laa, beta_a), MulScalar(lab, beta_b)));
     }
 
@@ -183,20 +187,31 @@ EpochStats Trainer::RunEpoch() {
       MGBR_TRACE_SPAN("trainer.backward", "trainer");
       loss.Backward();
     }
-    // The global grad norm falls out of clipping; when clipping is off
-    // it is only worth a full pass over the gradients if a telemetry
-    // sink wants it.
-    if (config_.clip_grad_norm > 0.0f || telemetry_ != nullptr) {
+    double norm = 0.0;
+    {
       MGBR_TRACE_SPAN("trainer.clip_grad", "trainer");
-      const double norm = ClipGradNorm(optimizer_->params_mutable(),
-                                       config_.clip_grad_norm);
-      stats.grad_norm_pre += norm;
-      stats.grad_norm_post +=
-          (config_.clip_grad_norm > 0.0f &&
-           norm > static_cast<double>(config_.clip_grad_norm))
-              ? static_cast<double>(config_.clip_grad_norm)
-              : norm;
+      norm = ClipGradNorm(optimizer_->params_mutable(),
+                          config_.clip_grad_norm);
     }
+    // A NaN/Inf loss or gradient would poison every parameter Adam
+    // touches and every checkpoint after it: such a step updates
+    // nothing and is only counted.
+    if (!std::isfinite(loss.value().item()) || !std::isfinite(norm)) {
+      ++stats.skipped_steps;
+      MGBR_LOG_WARNING(model_->name(), " skipped step ", step,
+                       ": non-finite loss or gradient norm");
+      continue;
+    }
+    stats.loss_a += loss_a;
+    stats.loss_b += loss_b;
+    stats.aux_a += aux_a;
+    stats.aux_b += aux_b;
+    stats.grad_norm_pre += norm;
+    stats.grad_norm_post +=
+        (config_.clip_grad_norm > 0.0f &&
+         norm > static_cast<double>(config_.clip_grad_norm))
+            ? static_cast<double>(config_.clip_grad_norm)
+            : norm;
     {
       MGBR_TRACE_SPAN("trainer.optim_step", "trainer");
       optimizer_->Step();
@@ -213,7 +228,8 @@ EpochStats Trainer::RunEpoch() {
   ++state_.epochs_run;
 
   if (telemetry_ != nullptr) {
-    const double inv = 1.0 / static_cast<double>(stats.steps);
+    const double inv =
+        stats.steps > 0 ? 1.0 / static_cast<double>(stats.steps) : 0.0;
     EpochTelemetry record;
     record.model = model_->name();
     record.epoch = state_.epochs_run;

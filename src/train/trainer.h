@@ -68,21 +68,24 @@ struct TrainConfig {
 };
 
 /// Per-epoch training statistics. Loss and grad-norm fields are sums
-/// over the epoch's steps; divide by `steps` for per-step means (or use
-/// the derived EpochTelemetry record, which stores means).
+/// over the epoch's applied steps; divide by `steps` for per-step means
+/// (or use the derived EpochTelemetry record, which stores means).
 struct EpochStats {
   double loss_a = 0.0;
   double loss_b = 0.0;
   double aux_a = 0.0;
   double aux_b = 0.0;
   /// Global gradient norm summed over steps, before/after clipping.
-  /// Zero when neither clipping nor telemetry asked for the norm.
   double grad_norm_pre = 0.0;
   double grad_norm_post = 0.0;
   /// Learning rate in effect during this epoch.
   double learning_rate = 0.0;
   double seconds = 0.0;
+  /// Steps applied (one Adam update each).
   int64_t steps = 0;
+  /// Steps whose loss or global gradient norm was NaN/Inf: no update,
+  /// and their loss terms stay out of the sums above.
+  int64_t skipped_steps = 0;
   /// Mean combined loss per step.
   double TotalLoss() const {
     return steps > 0 ? (loss_a + loss_b + aux_a + aux_b) /

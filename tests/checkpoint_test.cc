@@ -4,7 +4,7 @@
 //
 // Four kinds of guarantees are exercised:
 //  1. Round-trip fidelity: params, Adam moments, RNG stream and trainer
-//     state all restore exactly; legacy v1 files still load.
+//     state all restore exactly; the retired v1 format is rejected.
 //  2. The corruption matrix: truncation at every section boundary and a
 //     single flipped bit in every section are detected (CRC32), always
 //     failing cleanly without touching the restore target.
@@ -44,6 +44,7 @@
 namespace mgbr {
 namespace {
 
+using mgbr::testing::ScopedTempDir;
 using mgbr::testing::TinyDataset;
 
 struct ScopedSimd {
@@ -66,18 +67,6 @@ bool BitEqualT(const Tensor& a, const Tensor& b) {
   if (!a.same_shape(b)) return false;
   return std::memcmp(a.data(), b.data(),
                      sizeof(float) * static_cast<size_t>(a.numel())) == 0;
-}
-
-std::string UniqueTempDir(const std::string& tag) {
-  // A pid repeats once the OS recycles it, and a directory left by an
-  // earlier run under the same pid holds newer checkpoints that a
-  // resume would pick up; the process start time keeps names unique.
-  static const int64_t start_ns =
-      std::chrono::system_clock::now().time_since_epoch().count();
-  static int counter = 0;
-  return ::testing::TempDir() + "mgbr_ckpt_" + tag + "_" +
-         std::to_string(::getpid()) + "_" + std::to_string(start_ns) + "_" +
-         std::to_string(counter++);
 }
 
 std::string ReadAll(const std::string& path) {
@@ -211,7 +200,8 @@ TEST(CheckpointV2Test, FullRoundTripRestoresEverySection) {
   trainer_state.best_epoch = 1;
   trainer_state.since_best = 1;
 
-  const std::string path = UniqueTempDir("roundtrip") + ".mgbr";
+  const ScopedTempDir temp("ckpt_roundtrip");
+  const std::string path = temp.File("roundtrip.mgbr");
   auto params = h.model->Parameters();
   CheckpointWriteRequest write;
   write.params = &params;
@@ -254,7 +244,6 @@ TEST(CheckpointV2Test, FullRoundTripRestoresEverySection) {
   EXPECT_EQ(state_restored.best_metric, 0.625);
   EXPECT_EQ(state_restored.best_epoch, 1);
   EXPECT_EQ(state_restored.since_best, 1);
-  std::remove(path.c_str());
 }
 
 TEST(CheckpointV2Test, RngStreamsRoundTripAndCountIsEnforced) {
@@ -271,7 +260,8 @@ TEST(CheckpointV2Test, RngStreamsRoundTripAndCountIsEnforced) {
   const double s1_next = Rng(streams[1]).Gaussian();
 
   std::vector<Var> params = {Var(Tensor::Full(2, 2, 1.0f), true)};
-  const std::string path = UniqueTempDir("rngstreams") + ".mgbr";
+  const ScopedTempDir temp("ckpt_rngstreams");
+  const std::string path = temp.File("rngstreams.mgbr");
   CheckpointWriteRequest write;
   write.params = &params;
   write.rng = &main_rng;
@@ -299,11 +289,11 @@ TEST(CheckpointV2Test, RngStreamsRoundTripAndCountIsEnforced) {
   read.rng_streams = nullptr;
   EXPECT_EQ(LoadCheckpoint(path, read).code(),
             StatusCode::kInvalidArgument);
-  std::remove(path.c_str());
 }
 
 TEST(CheckpointV2Test, FingerprintMismatchIsRejected) {
-  const std::string path = UniqueTempDir("fprint") + ".mgbr";
+  const ScopedTempDir temp("ckpt_fprint");
+  const std::string path = temp.File("fprint.mgbr");
   std::vector<Var> params = {Var(Tensor::Full(3, 3, 1.5f), true)};
   CheckpointWriteRequest write;
   write.params = &params;
@@ -320,11 +310,11 @@ TEST(CheckpointV2Test, FingerprintMismatchIsRejected) {
 
   read.expected_fingerprint = 0xDEADBEEFu;
   EXPECT_TRUE(LoadCheckpoint(path, read).ok());
-  std::remove(path.c_str());
 }
 
 TEST(CheckpointV2Test, MissingRequestedSectionIsNotFound) {
-  const std::string path = UniqueTempDir("nosec") + ".mgbr";
+  const ScopedTempDir temp("ckpt_nosec");
+  const std::string path = temp.File("nosec.mgbr");
   std::vector<Var> params = {Var(Tensor::Full(2, 2, 1.0f), true)};
   ASSERT_TRUE(SaveParameters(params, path).ok());  // params-only file
 
@@ -333,11 +323,11 @@ TEST(CheckpointV2Test, MissingRequestedSectionIsNotFound) {
   read.params = &params;
   read.rng = &rng;
   EXPECT_EQ(LoadCheckpoint(path, read).code(), StatusCode::kNotFound);
-  std::remove(path.c_str());
 }
 
-TEST(CheckpointV2Test, LegacyV1FilesStillLoad) {
-  // Hand-written v1 stream: magic, count, then rows/cols/data.
+TEST(CheckpointV2Test, RetiredV1MagicIsRejected) {
+  // A well-formed v1 stream (magic, count, then rows/cols/data): the
+  // format carried no checksums and is no longer read.
   std::string bytes = "MGBRCKP1";
   const uint64_t count = 1;
   bytes.append(reinterpret_cast<const char*>(&count), sizeof(count));
@@ -347,25 +337,16 @@ TEST(CheckpointV2Test, LegacyV1FilesStillLoad) {
   const float data[6] = {1, 2, 3, 4, 5, 6};
   bytes.append(reinterpret_cast<const char*>(data), sizeof(data));
 
-  const std::string path = UniqueTempDir("v1") + ".mgbr";
+  const ScopedTempDir temp("ckpt_v1");
+  const std::string path = temp.File("v1.mgbr");
   WriteAll(path, bytes);
-  std::vector<Var> params = {Var(Tensor::Zeros(2, 3), true)};
-  ASSERT_TRUE(LoadParameters(path, &params).ok());
-  EXPECT_FLOAT_EQ(params[0].value().at(1, 2), 6.0f);
-
-  // A v1 file cannot satisfy a request for optimizer state.
-  Rng rng(1);
+  std::vector<Var> params = {Var(Tensor::Full(2, 3, 7.0f), true)};
+  EXPECT_EQ(LoadParameters(path, &params).code(),
+            StatusCode::kInvalidArgument);
   CheckpointReadRequest read;
   read.params = &params;
-  read.rng = &rng;
-  EXPECT_EQ(LoadCheckpoint(path, read).code(), StatusCode::kNotFound);
-
-  // Truncated v1 payload fails cleanly, target untouched.
-  WriteAll(path, bytes.substr(0, bytes.size() - 9));
-  std::vector<Var> fresh = {Var(Tensor::Zeros(2, 3), true)};
-  EXPECT_FALSE(LoadParameters(path, &fresh).ok());
-  EXPECT_FLOAT_EQ(fresh[0].value().at(0, 0), 0.0f);
-  std::remove(path.c_str());
+  EXPECT_EQ(LoadCheckpoint(path, read).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(BitEqualT(params[0].value(), Tensor::Full(2, 3, 7.0f)));
 }
 
 // ---------------------------------------------------------------------------
@@ -375,7 +356,7 @@ TEST(CheckpointV2Test, LegacyV1FilesStillLoad) {
 class CorruptionMatrixTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = UniqueTempDir("matrix") + ".mgbr";
+    path_ = temp_.File("matrix.mgbr");
     Harness h(SmallTrainConfig());
     h.trainer->Train(1);
     rng_ = Rng(5);
@@ -394,8 +375,6 @@ class CorruptionMatrixTest : public ::testing::Test {
     reference_params_.clear();
     for (const Var& p : params) reference_params_.push_back(p.value());
   }
-
-  void TearDown() override { std::remove(path_.c_str()); }
 
   /// Builds a fresh all-sections read request over the given holders
   /// and asserts the load fails without touching any of them.
@@ -427,6 +406,7 @@ class CorruptionMatrixTest : public ::testing::Test {
     EXPECT_EQ(state.epochs_run, 0) << label;
   }
 
+  const ScopedTempDir temp_{"ckpt_matrix"};
   std::string path_;
   std::string bytes_;
   uint64_t fingerprint_ = 0;
@@ -488,7 +468,8 @@ TEST_F(CorruptionMatrixTest, CorruptDetectionsAreCounted) {
 // ---------------------------------------------------------------------------
 
 TEST(CheckpointManagerTest, RotationKeepsOnlyTheNewest) {
-  const std::string dir = UniqueTempDir("rotate");
+  const ScopedTempDir temp("ckpt_rotate");
+  const std::string dir = temp.File("rotate");
   CheckpointManager manager(dir, /*keep_last=*/3);
   std::vector<Var> params = {Var(Tensor::Full(2, 2, 1.0f), true)};
   CheckpointWriteRequest write;
@@ -511,7 +492,8 @@ TEST(CheckpointManagerTest, RotationKeepsOnlyTheNewest) {
 }
 
 TEST(CheckpointManagerTest, StaleTempFilesAreSweptOnSave) {
-  const std::string dir = UniqueTempDir("staletmp");
+  const ScopedTempDir temp("ckpt_staletmp");
+  const std::string dir = temp.File("staletmp");
   ASSERT_TRUE(io::MakeDirs(dir).ok());
   const std::string stale = dir + "/ckpt-000001.mgbr.tmp";
   WriteAll(stale, "half-written garbage from a dead process");
@@ -531,7 +513,8 @@ TEST(CheckpointManagerTest, FallsBackPastCorruptNewestFile) {
       MetricsRegistry::Global().GetCounter("checkpoint.fallbacks");
   const int64_t fallbacks_before = fallbacks->Value();
 
-  const std::string dir = UniqueTempDir("fallback");
+  const ScopedTempDir temp("ckpt_fallback");
+  const std::string dir = temp.File("fallback");
   CheckpointManager manager(dir, 3);
   std::vector<Var> params = {Var(Tensor::Full(2, 2, 1.0f), true)};
   CheckpointWriteRequest write;
@@ -557,7 +540,8 @@ TEST(CheckpointManagerTest, FallsBackPastCorruptNewestFile) {
 }
 
 TEST(CheckpointManagerTest, EmptyDirectoryIsNotFound) {
-  CheckpointManager manager(UniqueTempDir("empty"), 3);
+  const ScopedTempDir temp("ckpt_empty");
+  CheckpointManager manager(temp.File("empty"), 3);
   std::vector<Var> restore = {Var(Tensor::Zeros(2, 2), true)};
   CheckpointReadRequest read;
   read.params = &restore;
@@ -587,8 +571,10 @@ TEST(AsyncCheckpointTest, AsyncFileIsByteIdenticalToSync) {
   write.trainer = &state;
   write.fingerprint = h.trainer->ConfigFingerprint();
 
-  const std::string sync_dir = UniqueTempDir("async_eq_sync");
-  const std::string async_dir = UniqueTempDir("async_eq_async");
+  const ScopedTempDir temp("ckpt_async_eq_sync");
+  const std::string sync_dir = temp.File("async_eq_sync");
+
+  const std::string async_dir = temp.File("async_eq_async");
   CheckpointManager sync_manager(sync_dir, 3, /*async=*/false);
   ASSERT_TRUE(sync_manager.Save(write, 1).ok());
   {
@@ -601,7 +587,8 @@ TEST(AsyncCheckpointTest, AsyncFileIsByteIdenticalToSync) {
 }
 
 TEST(AsyncCheckpointTest, DestructorJoinsInFlightWrite) {
-  const std::string dir = UniqueTempDir("async_dtor");
+  const ScopedTempDir temp("ckpt_async_dtor");
+  const std::string dir = temp.File("async_dtor");
   std::vector<Var> params = {Var(Tensor::Full(64, 64, 3.0f), true)};
   CheckpointWriteRequest write;
   write.params = &params;
@@ -617,7 +604,8 @@ TEST(AsyncCheckpointTest, DestructorJoinsInFlightWrite) {
 }
 
 TEST(AsyncCheckpointTest, RotationAndRestoreWorkInAsyncMode) {
-  const std::string dir = UniqueTempDir("async_rotate");
+  const ScopedTempDir temp("ckpt_async_rotate");
+  const std::string dir = temp.File("async_rotate");
   CheckpointManager manager(dir, /*keep_last=*/3, /*async=*/true);
   std::vector<Var> params = {Var(Tensor::Full(2, 2, 1.0f), true)};
   CheckpointWriteRequest write;
@@ -641,7 +629,8 @@ TEST(AsyncCheckpointTest, RotationAndRestoreWorkInAsyncMode) {
 TEST(AsyncCheckpointTest, SnapshotIsImmuneToPostSaveMutation) {
   // Save() serializes before returning, so state mutated right after —
   // as the next training epoch would — must not leak into the file.
-  const std::string dir = UniqueTempDir("async_snapshot");
+  const ScopedTempDir temp("ckpt_async_snapshot");
+  const std::string dir = temp.File("async_snapshot");
   CheckpointManager manager(dir, 3, /*async=*/true);
   std::vector<Var> params = {Var(Tensor::Full(128, 64, 1.0f), true)};
   CheckpointWriteRequest write;
@@ -659,8 +648,9 @@ TEST(AsyncCheckpointTest, TrainerAsyncRunMatchesSyncByteForByte) {
   // End-to-end through the Trainer: the same run with
   // async_checkpoints on produces byte-identical checkpoint files (the
   // write path moves threads; the contents must not).
-  const std::string sync_dir = UniqueTempDir("trainer_sync");
-  const std::string async_dir = UniqueTempDir("trainer_async");
+  const ScopedTempDir temp("ckpt_trainer_sync");
+  const std::string sync_dir = temp.File("trainer_sync");
+  const std::string async_dir = temp.File("trainer_async");
   {
     Harness h(SmallTrainConfig(sync_dir));
     h.trainer->Train(3);
@@ -727,7 +717,8 @@ std::vector<Tensor> TrainWithRestarts(const std::string& dir,
 }
 
 TEST(CheckpointResumeTest, ResumeIsBitIdenticalAcrossSimdArenaThreads) {
-  const std::string base_dir = UniqueTempDir("resume");
+  const ScopedTempDir temp("ckpt_resume");
+  const std::string base_dir = temp.File("resume");
   std::vector<Tensor> reference;
   {
     ScopedSimd simd(true);
@@ -772,7 +763,8 @@ TEST(CheckpointResumeTest, SamplerStreamsResumeBitIdenticallyAcrossThreads) {
   // "bit-identical at ANY thread count": the streams (not the thread
   // layout) carry every sampling decision, and the RNG1 section
   // round-trips all of them.
-  const std::string base_dir = UniqueTempDir("resume_streams");
+  const ScopedTempDir temp("ckpt_resume_streams");
+  const std::string base_dir = temp.File("resume_streams");
   std::vector<Tensor> reference;
   {
     ScopedNumThreads threads(1);
@@ -826,7 +818,8 @@ class FaultInjectionTest : public ::testing::Test {
 };
 
 TEST_F(FaultInjectionTest, InjectedWriteEioFailsTheSave) {
-  const std::string path = UniqueTempDir("eio") + ".mgbr";
+  const ScopedTempDir temp("ckpt_eio");
+  const std::string path = temp.File("eio.mgbr");
   fault::Install(
       Make(fault::Injection::Kind::kWriteEio, path));
   std::vector<Var> params = {Var(Tensor::Full(2, 2, 1.0f), true)};
@@ -836,7 +829,8 @@ TEST_F(FaultInjectionTest, InjectedWriteEioFailsTheSave) {
 }
 
 TEST_F(FaultInjectionTest, TornShortWriteIsCaughtAtLoadTime) {
-  const std::string path = UniqueTempDir("torn") + ".mgbr";
+  const ScopedTempDir temp("ckpt_torn");
+  const std::string path = temp.File("torn.mgbr");
   fault::Install(Make(fault::Injection::Kind::kWriteShort, path));
   std::vector<Var> params = {Var(Tensor::Full(8, 8, 2.0f), true)};
   // The torn write reports success — exactly the dangerous case.
@@ -844,22 +838,22 @@ TEST_F(FaultInjectionTest, TornShortWriteIsCaughtAtLoadTime) {
   std::vector<Var> restore = {Var(Tensor::Zeros(8, 8), true)};
   EXPECT_FALSE(LoadParameters(path, &restore).ok());
   EXPECT_FLOAT_EQ(restore[0].value().at(0, 0), 0.0f);
-  std::remove(path.c_str());
 }
 
 TEST_F(FaultInjectionTest, SilentBitFlipIsCaughtAtLoadTime) {
-  const std::string path = UniqueTempDir("flip") + ".mgbr";
+  const ScopedTempDir temp("ckpt_flip");
+  const std::string path = temp.File("flip.mgbr");
   fault::Install(Make(fault::Injection::Kind::kWriteBitFlip, path,
                       /*at=*/0, /*bit=*/301));
   std::vector<Var> params = {Var(Tensor::Full(8, 8, 2.0f), true)};
   ASSERT_TRUE(SaveParameters(params, path).ok());
   std::vector<Var> restore = {Var(Tensor::Zeros(8, 8), true)};
   EXPECT_FALSE(LoadParameters(path, &restore).ok());
-  std::remove(path.c_str());
 }
 
 TEST_F(FaultInjectionTest, ManagerFallsBackAfterTornWrite) {
-  const std::string dir = UniqueTempDir("tornmgr");
+  const ScopedTempDir temp("ckpt_tornmgr");
+  const std::string dir = temp.File("tornmgr");
   CheckpointManager manager(dir, 3);
   std::vector<Var> params = {Var(Tensor::Full(4, 4, 1.0f), true)};
   CheckpointWriteRequest write;
@@ -884,7 +878,8 @@ TEST_F(FaultInjectionTest, AsyncWriteErrorSurfacesOnTheNextSave) {
   // The async Save() itself returns OK (the failure happens on the
   // writer thread); the error must surface on the NEXT checkpoint
   // attempt — or WaitForPending — never be dropped.
-  const std::string dir = UniqueTempDir("async_eio");
+  const ScopedTempDir temp("ckpt_async_eio");
+  const std::string dir = temp.File("async_eio");
   CheckpointManager manager(dir, 3, /*async=*/true);
   std::vector<Var> params = {Var(Tensor::Full(4, 4, 1.0f), true)};
   CheckpointWriteRequest write;
@@ -902,7 +897,8 @@ TEST_F(FaultInjectionTest, AsyncWriteErrorSurfacesOnTheNextSave) {
 }
 
 TEST_F(FaultInjectionTest, InjectedReadEioFailsTheLoad) {
-  const std::string path = UniqueTempDir("reio") + ".mgbr";
+  const ScopedTempDir temp("ckpt_reio");
+  const std::string path = temp.File("reio.mgbr");
   std::vector<Var> params = {Var(Tensor::Full(2, 2, 1.0f), true)};
   ASSERT_TRUE(SaveParameters(params, path).ok());
   fault::Install(Make(fault::Injection::Kind::kReadEio, path));
@@ -910,7 +906,6 @@ TEST_F(FaultInjectionTest, InjectedReadEioFailsTheLoad) {
   EXPECT_EQ(LoadParameters(path, &restore).code(), StatusCode::kIoError);
   fault::Clear();
   EXPECT_TRUE(LoadParameters(path, &restore).ok());  // one-shot injection
-  std::remove(path.c_str());
 }
 
 using FaultInjectionDeathTest = FaultInjectionTest;
@@ -928,7 +923,8 @@ TEST_F(FaultInjectionDeathTest, KillPointTerminatesWithTheAgreedExitCode) {
 }
 
 TEST_F(FaultInjectionDeathTest, KillBeforeRenameLeavesOldCheckpointIntact) {
-  const std::string path = UniqueTempDir("killsafe") + ".mgbr";
+  const ScopedTempDir temp("ckpt_killsafe");
+  const std::string path = temp.File("killsafe.mgbr");
   std::vector<Var> params = {Var(Tensor::Full(2, 2, 1.0f), true)};
   ASSERT_TRUE(SaveParameters(params, path).ok());
   const std::string before = ReadAll(path);
@@ -948,8 +944,6 @@ TEST_F(FaultInjectionDeathTest, KillBeforeRenameLeavesOldCheckpointIntact) {
   std::vector<Var> restore = {Var(Tensor::Zeros(2, 2), true)};
   ASSERT_TRUE(LoadParameters(path, &restore).ok());
   EXPECT_FLOAT_EQ(restore[0].value().at(0, 0), 1.0f);
-  std::remove(path.c_str());
-  std::remove((path + ".tmp").c_str());
 }
 
 TEST_F(FaultInjectionTest, DelayPointFiresRepeatedlyAtItsCadence) {
@@ -1020,8 +1014,9 @@ TEST_F(FaultInjectionTest, EnvGrammarRoundTrips) {
   ::setenv("MGBR_FAULT", "eio@env_grammar_probe:0", 1);
   fault::Clear();  // discard any previously parsed plan
   fault::InstallFromEnv();
+  const ScopedTempDir temp("ckpt_env_grammar");
   Result<io::File> f =
-      io::File::OpenForWrite(::testing::TempDir() + "env_grammar_probe.bin");
+      io::File::OpenForWrite(temp.File("env_grammar_probe.bin"));
   ASSERT_TRUE(f.ok());
   io::File file = std::move(f).value();
   const char byte = 'x';

@@ -7,9 +7,12 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/string_util.h"
+#include "tests/test_util.h"
 
 namespace mgbr {
 namespace {
+
+using mgbr::testing::ScopedTempDir;
 
 // ---------------------------------------------------------------------------
 // Status / Result.
@@ -254,18 +257,19 @@ TEST(RngTest, SampleWithoutReplacementDistinct) {
 // ---------------------------------------------------------------------------
 
 TEST(CsvTest, RoundTrip) {
-  const std::string path = ::testing::TempDir() + "/mgbr_csv_test.csv";
+  const ScopedTempDir temp("common");
+  const std::string path = temp.File("mgbr_csv_test.csv");
   std::vector<std::vector<std::string>> rows = {
       {"1", "2"}, {"3", "4", "5"}, {"x"}};
   ASSERT_TRUE(Csv::WriteFile(path, rows).ok());
   auto read = Csv::ReadFile(path);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read.value(), rows);
-  std::remove(path.c_str());
 }
 
 TEST(CsvTest, SkipsCommentsAndBlankLines) {
-  const std::string path = ::testing::TempDir() + "/mgbr_csv_comments.csv";
+  const ScopedTempDir temp("common");
+  const std::string path = temp.File("mgbr_csv_comments.csv");
   {
     FILE* f = fopen(path.c_str(), "w");
     ASSERT_NE(f, nullptr);
@@ -275,7 +279,6 @@ TEST(CsvTest, SkipsCommentsAndBlankLines) {
   auto read = Csv::ReadFile(path);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read.value().size(), 2u);
-  std::remove(path.c_str());
 }
 
 TEST(CsvTest, MissingFileIsIoError) {

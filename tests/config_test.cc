@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "common/config.h"
+#include "tests/test_util.h"
 
 namespace mgbr {
 namespace {
+
+using mgbr::testing::ScopedTempDir;
 
 TEST(ConfigTest, SetGetRoundTrip) {
   KeyValueConfig config;
@@ -61,7 +64,8 @@ TEST(ConfigTest, FromArgsParsesFlagsOnly) {
 }
 
 TEST(ConfigTest, FromFileParsesAndValidates) {
-  const std::string path = ::testing::TempDir() + "/mgbr_config_test.conf";
+  const ScopedTempDir temp("config");
+  const std::string path = temp.File("mgbr_config_test.conf");
   {
     FILE* f = fopen(path.c_str(), "w");
     fputs("# experiment\nepochs = 5\n\nname= MGBR-M \nlr =1e-3\n", f);
@@ -73,18 +77,17 @@ TEST(ConfigTest, FromFileParsesAndValidates) {
   EXPECT_EQ(std::move(config.GetInt("epochs", 0)).ValueOrDie(), 5);
   EXPECT_EQ(config.GetString("name", ""), "MGBR-M");
   EXPECT_DOUBLE_EQ(std::move(config.GetDouble("lr", 0)).ValueOrDie(), 1e-3);
-  std::remove(path.c_str());
 }
 
 TEST(ConfigTest, FromFileRejectsMalformedLines) {
-  const std::string path = ::testing::TempDir() + "/mgbr_config_bad.conf";
+  const ScopedTempDir temp("config");
+  const std::string path = temp.File("mgbr_config_bad.conf");
   {
     FILE* f = fopen(path.c_str(), "w");
     fputs("epochs = 5\nnot a key value line\n", f);
     fclose(f);
   }
   EXPECT_FALSE(KeyValueConfig::FromFile(path).ok());
-  std::remove(path.c_str());
   EXPECT_FALSE(KeyValueConfig::FromFile("/no/such.conf").ok());
 }
 

@@ -11,6 +11,8 @@
 namespace mgbr {
 namespace {
 
+using mgbr::testing::ScopedTempDir;
+
 using mgbr::testing::TinyDataset;
 
 // ---------------------------------------------------------------------------
@@ -119,7 +121,8 @@ TEST(SplitTest, DeterministicInSeed) {
 
 TEST(DatasetIoTest, RoundTrip) {
   GroupBuyingDataset ds(5, 4, {{0, 1, {2, 3}}, {4, 0, {}}, {1, 3, {0}}});
-  const std::string path = ::testing::TempDir() + "/mgbr_ds_test.csv";
+  const ScopedTempDir temp("data");
+  const std::string path = temp.File("mgbr_ds_test.csv");
   ASSERT_TRUE(ds.Save(path).ok());
   auto loaded = GroupBuyingDataset::Load(path);
   ASSERT_TRUE(loaded.ok());
@@ -129,11 +132,11 @@ TEST(DatasetIoTest, RoundTrip) {
   ASSERT_EQ(l.n_groups(), 3);
   EXPECT_EQ(l.groups()[0].participants, (std::vector<int64_t>{2, 3}));
   EXPECT_EQ(l.groups()[1].participants.size(), 0u);
-  std::remove(path.c_str());
 }
 
 TEST(DatasetIoTest, RejectsMalformedFiles) {
-  const std::string path = ::testing::TempDir() + "/mgbr_bad_ds.csv";
+  const ScopedTempDir temp("data");
+  const std::string path = temp.File("mgbr_bad_ds.csv");
   {
     FILE* f = fopen(path.c_str(), "w");
     fputs("5,4\n0,1,9\n", f);  // participant 9 out of range
@@ -146,12 +149,12 @@ TEST(DatasetIoTest, RejectsMalformedFiles) {
     fclose(f);
   }
   EXPECT_FALSE(GroupBuyingDataset::Load(path).ok());
-  std::remove(path.c_str());
   EXPECT_FALSE(GroupBuyingDataset::Load("/no/such/file.csv").ok());
 }
 
 TEST(DatasetIoTest, LenientModeSkipsAndCountsDefectiveRows) {
-  const std::string path = ::testing::TempDir() + "/mgbr_lenient_ds.csv";
+  const ScopedTempDir temp("data");
+  const std::string path = temp.File("mgbr_lenient_ds.csv");
   {
     FILE* f = fopen(path.c_str(), "w");
     // header; good row; out-of-range participant; short row;
@@ -190,7 +193,6 @@ TEST(DatasetIoTest, LenientModeSkipsAndCountsDefectiveRows) {
     fclose(f);
   }
   EXPECT_FALSE(GroupBuyingDataset::Load(path, lenient).ok());
-  std::remove(path.c_str());
 }
 
 TEST(DatasetIoTest, LenientModeCountsSkipCauses) {
@@ -203,7 +205,8 @@ TEST(DatasetIoTest, LenientModeCountsSkipCauses) {
   const int64_t skipped_before = skipped->Value();
   const int64_t dropped_before = dropped->Value();
 
-  const std::string path = ::testing::TempDir() + "/mgbr_lenient_count.csv";
+  const ScopedTempDir temp("data");
+  const std::string path = temp.File("mgbr_lenient_count.csv");
   {
     FILE* f = fopen(path.c_str(), "w");
     fputs("5,4\n0,1,9\n1,2,3,3\n", f);
@@ -214,7 +217,6 @@ TEST(DatasetIoTest, LenientModeCountsSkipCauses) {
   ASSERT_TRUE(GroupBuyingDataset::Load(path, lenient).ok());
   EXPECT_EQ(skipped->Value(), skipped_before + 1);
   EXPECT_EQ(dropped->Value(), dropped_before + 1);
-  std::remove(path.c_str());
   SetTelemetryEnabled(saved);
 }
 

@@ -68,7 +68,7 @@ TEST_F(ExtensionsTest, LightGcnFinalIsLayerMean) {
   LightGcn model(graphs_, 4, 1, &rng);
   model.Refresh();
   Var x0 = model.Parameters()[0];
-  Tensor manual = graphs_.a_joint->Multiply(x0.value());
+  Tensor manual = BuildJointAdjacency(graphs_)->Multiply(x0.value());
   manual.AccumulateInPlace(x0.value());
   manual.ScaleInPlace(0.5f);
   Var s = model.ScoreA({0}, {0});

@@ -8,6 +8,8 @@
 namespace mgbr {
 namespace {
 
+using mgbr::testing::ScopedTempDir;
+
 using mgbr::testing::TinyDataset;
 
 class GroupSuccessTest : public ::testing::Test {
@@ -154,14 +156,14 @@ TEST(EarlyStoppingTrainTest, SavesBestCheckpoint) {
   tc.batch_size = 64;
   Trainer trainer(&model, &sampler, tc);
 
-  const std::string path = ::testing::TempDir() + "/mgbr_best.ckpt";
+  const ScopedTempDir temp("group_success");
+  const std::string path = temp.File("mgbr_best.ckpt");
   int calls = 0;
   auto validate = [&calls]() { return calls++ == 0 ? 1.0 : 0.0; };
   TrainWithEarlyStopping(&trainer, &model, validate, 10, 2, path);
   // Checkpoint must exist and load back into the same architecture.
   auto params = model.Parameters();
   EXPECT_TRUE(LoadParameters(path, &params).ok());
-  std::remove(path.c_str());
 }
 
 }  // namespace

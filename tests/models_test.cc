@@ -49,11 +49,13 @@ TEST_F(ModelsTest, GraphInputsShapes) {
   EXPECT_EQ(graphs_.a_ui->rows(), n_all);
   EXPECT_EQ(graphs_.a_pi->rows(), n_all);
   EXPECT_EQ(graphs_.a_up->rows(), graphs_.n_users);
-  EXPECT_EQ(graphs_.a_joint->rows(), n_all);
-  EXPECT_EQ(graphs_.a_hin->rows(), n_all);
+  const SharedCsr joint = BuildJointAdjacency(graphs_);
+  const SharedCsr hin = BuildHeterogeneousAdjacency(graphs_);
+  EXPECT_EQ(joint->rows(), n_all);
+  EXPECT_EQ(hin->rows(), n_all);
   // HIN contains at least as many edges as each view.
-  EXPECT_GE(graphs_.a_hin->nnz(), graphs_.a_ui->nnz());
-  EXPECT_GE(graphs_.a_joint->nnz(), graphs_.a_pi->nnz());
+  EXPECT_GE(hin->nnz(), graphs_.a_ui->nnz());
+  EXPECT_GE(joint->nnz(), graphs_.a_pi->nnz());
 }
 
 TEST_F(ModelsTest, NamesAreDistinct) {

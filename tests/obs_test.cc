@@ -32,9 +32,12 @@
 #include "obs/flight_recorder.h"
 #include "obs/prometheus.h"
 #include "obs/slo.h"
+#include "tests/test_util.h"
 
 namespace mgbr::obs {
 namespace {
+
+using mgbr::testing::ScopedTempDir;
 
 // ---------------------------------------------------------------------------
 // Prometheus rendering.
@@ -358,15 +361,14 @@ TEST(FlightRecorderTest, JsonDumpCarriesStageWaits) {
 TEST(FlightRecorderTest, DumpToWritesTheFile) {
   FlightRecorder recorder(2);
   recorder.Record(MakeRecord(1));
-  const std::string path =
-      ::testing::TempDir() + "/flight_dump_test.json";
+  const ScopedTempDir temp("obs");
+  const std::string path = temp.File("flight_dump_test.json");
   ASSERT_TRUE(recorder.DumpTo(path).ok());
   std::ifstream in(path);
   std::stringstream content;
   content << in.rdbuf();
   EXPECT_NE(content.str().find("\"id\":1"), std::string::npos);
   EXPECT_EQ(content.str().back(), '\n');
-  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -25,9 +25,12 @@
 #include "data/synthetic.h"
 #include "models/graph_inputs.h"
 #include "train/trainer.h"
+#include "tests/test_util.h"
 
 namespace mgbr {
 namespace {
+
+using mgbr::testing::ScopedTempDir;
 
 // ---------------------------------------------------------------------------
 // Minimal recursive-descent JSON validator, enough to assert that every
@@ -158,13 +161,9 @@ std::string ReadFileOrDie(const std::string& path) {
   return oss.str();
 }
 
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
-}
-
 // Saves + restores the global switches and clears global state so the
 // process-wide registry/buffers never leak between tests.
-class ObservabilityTest : public testing::Test {
+class ObservabilityTest : public ::testing::Test {
  protected:
   void SetUp() override {
     saved_metrics_ = TelemetryEnabled();
@@ -356,7 +355,8 @@ TEST_F(ObservabilityTest, NestedSpansProduceValidChromeTraceJson) {
   }
   EXPECT_EQ(trace::EventCount(), 3);
 
-  const std::string path = TempPath("observability_trace.json");
+  const ScopedTempDir temp("obs");
+  const std::string path = temp.File("observability_trace.json");
   ASSERT_TRUE(trace::WriteChromeTrace(path).ok());
   const std::string json = ReadFileOrDie(path);
   EXPECT_TRUE(IsValidJson(json)) << json;
@@ -365,7 +365,6 @@ TEST_F(ObservabilityTest, NestedSpansProduceValidChromeTraceJson) {
   EXPECT_NE(json.find("\"test.inner\""), std::string::npos);
   EXPECT_NE(json.find("\"test.timed\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  std::remove(path.c_str());
 }
 
 TEST_F(ObservabilityTest, ClearDiscardsBufferedEvents) {
@@ -381,7 +380,8 @@ TEST_F(ObservabilityTest, ClearDiscardsBufferedEvents) {
 // ---------------------------------------------------------------------------
 
 TEST_F(ObservabilityTest, StreamingFlushesChunksIncrementallyWithoutDrops) {
-  const std::string path = TempPath("observability_stream.json");
+  const ScopedTempDir temp("obs");
+  const std::string path = temp.File("observability_stream.json");
   ASSERT_TRUE(trace::StartStreaming(path, /*chunk_events=*/8).ok());
   EXPECT_TRUE(trace::StreamingActive());
   EXPECT_TRUE(trace::Enabled());  // StartStreaming enables recording
@@ -408,22 +408,22 @@ TEST_F(ObservabilityTest, StreamingFlushesChunksIncrementallyWithoutDrops) {
     ++events;
   }
   EXPECT_EQ(events, 20u);
-  std::remove(path.c_str());
 }
 
 TEST_F(ObservabilityTest, StreamingRejectsDoubleStartAndBadFinish) {
   EXPECT_FALSE(trace::FinishStreaming().ok());  // nothing active
-  const std::string path = TempPath("observability_stream2.json");
+  const ScopedTempDir temp("obs");
+  const std::string path = temp.File("observability_stream2.json");
   ASSERT_TRUE(trace::StartStreaming(path).ok());
   EXPECT_FALSE(trace::StartStreaming(path).ok());  // already active
   EXPECT_FALSE(trace::StartStreaming(path, 0).ok());  // bad chunk size
   ASSERT_TRUE(trace::FinishStreaming().ok());
   EXPECT_FALSE(trace::FinishStreaming().ok());  // idempotence is an error
-  std::remove(path.c_str());
 }
 
 TEST_F(ObservabilityTest, StreamingIsRaceFreeUnderConcurrentSpans) {
-  const std::string path = TempPath("observability_stream3.json");
+  const ScopedTempDir temp("obs");
+  const std::string path = temp.File("observability_stream3.json");
   ASSERT_TRUE(trace::StartStreaming(path, /*chunk_events=*/32).ok());
   const int kThreads = 4;
   const int kSpans = 500;
@@ -441,7 +441,6 @@ TEST_F(ObservabilityTest, StreamingIsRaceFreeUnderConcurrentSpans) {
   EXPECT_EQ(trace::DroppedCount(), 0);
   const std::string json = ReadFileOrDie(path);
   EXPECT_TRUE(IsValidJson(json));
-  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -476,7 +475,8 @@ TEST_F(ObservabilityTest, TelemetryJsonlRoundTrips) {
   run.AnnotateLastEpoch({{"val_metric", 0.75}});
   EXPECT_EQ(run.n_epochs(), 2);
 
-  const std::string path = TempPath("observability_run.jsonl");
+  const ScopedTempDir temp("obs");
+  const std::string path = temp.File("observability_run.jsonl");
   ASSERT_TRUE(run.WriteJsonl(path).ok());
   std::ifstream in(path);
   ASSERT_TRUE(in.is_open());
@@ -503,7 +503,6 @@ TEST_F(ObservabilityTest, TelemetryJsonlRoundTrips) {
   EXPECT_NE(lines[2].find("\"n_epochs\":2"), std::string::npos);
   EXPECT_NE(lines[2].find("\"best_eval\""), std::string::npos);
   EXPECT_NE(lines[2].find("\"model\":\"MGBR\""), std::string::npos);
-  std::remove(path.c_str());
 }
 
 TEST_F(ObservabilityTest, TelemetryOptionsParseBothFlagForms) {
@@ -588,13 +587,13 @@ TEST_F(ObservabilityTest, ConcurrentSpansMetricsAndExportsAreRaceFree) {
   }
   // Exporters race with the writers on purpose.
   std::thread exporter([&] {
-    const std::string path = TempPath("observability_stress.json");
+    const ScopedTempDir temp("obs");
+    const std::string path = temp.File("observability_stress.json");
     while (!stop.load()) {
       (void)MetricsRegistry::Global().ToJson();
       (void)trace::WriteChromeTrace(path);
       (void)trace::EventCount();
     }
-    std::remove(path.c_str());
   });
   for (auto& t : workers) t.join();
   stop.store(true);

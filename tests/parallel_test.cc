@@ -241,6 +241,37 @@ TEST(ParallelDeterminismTest, TransposeMultiplyMatchesDenseTranspose) {
   EXPECT_TRUE(AllClose(got, expect, 1e-4));
 }
 
+TEST(ParallelDeterminismTest, ConcurrentFirstTransposeMultiplyIsSafe) {
+  // The transpose layout is built by the first TransposeMultiply; here
+  // every thread makes that first call at once, on a fresh matrix, and
+  // each must read the one finished layout.
+  Rng rng(19);
+  const int64_t rows = 200, cols = 150;
+  std::vector<Coo> entries;
+  for (int e = 0; e < 2000; ++e) {
+    entries.push_back({static_cast<int64_t>(rng.UniformInt(rows)),
+                       static_cast<int64_t>(rng.UniformInt(cols)),
+                       static_cast<float>(rng.Uniform())});
+  }
+  const Tensor x = GaussianInit(rows, 8, &rng);
+  const Tensor want = CsrMatrix::FromCoo(rows, cols, entries)
+                          .TransposeMultiply(x);
+  const CsrMatrix m = CsrMatrix::FromCoo(rows, cols, std::move(entries));
+  constexpr int kThreads = 8;
+  std::vector<Tensor> got(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      got[static_cast<size_t>(t)] = m.TransposeMultiply(x);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const Tensor& g : got) EXPECT_TRUE(BitEqual(g, want));
+}
+
 class SamplerDeterminismTest : public ::testing::Test {
  protected:
   SamplerDeterminismTest() {

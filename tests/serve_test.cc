@@ -43,6 +43,7 @@
 namespace mgbr {
 namespace {
 
+using mgbr::testing::ScopedTempDir;
 using mgbr::testing::TinyDataset;
 using serve::ModelPool;
 using serve::Request;
@@ -52,12 +53,6 @@ using serve::Server;
 using serve::ServerConfig;
 using serve::ServerStats;
 using serve::TaskKind;
-
-std::string UniqueTempDir(const std::string& tag) {
-  static int counter = 0;
-  return ::testing::TempDir() + "mgbr_serve_" + tag + "_" +
-         std::to_string(::getpid()) + "_" + std::to_string(counter++);
-}
 
 /// Tiny dataset + a factory for shape-compatible MGBR models. Different
 /// seeds give different parameters (and therefore different scores),
@@ -186,7 +181,8 @@ TEST_F(ModelPoolTest, InstallAssignsMonotonicIdsAndPinsSnapshots) {
 
 TEST_F(ModelPoolTest, LoadVersionRestoresCheckpointBitwise) {
   std::unique_ptr<MgbrModel> source = MakeModel(1);
-  const std::string path = UniqueTempDir("load") + ".mgbr";
+  const ScopedTempDir temp("serve_load");
+  const std::string path = temp.File("load.mgbr");
   ASSERT_TRUE(SaveParameters(source->Parameters(), path).ok());
 
   // The factory seeds differently: every parameter must come from the
@@ -221,7 +217,8 @@ TEST_F(ModelPoolTest, FailedLoadLeavesServedVersionUntouched) {
 }
 
 TEST_F(ModelPoolTest, LoadLatestUsesNewestVerifyingCheckpoint) {
-  const std::string dir = UniqueTempDir("latest");
+  const ScopedTempDir temp("serve_latest");
+  const std::string dir = temp.File("latest");
   CheckpointManager manager(dir);
   std::unique_ptr<MgbrModel> old_model = MakeModel(1);
   std::unique_ptr<MgbrModel> new_model = MakeModel(2);
@@ -570,7 +567,8 @@ TEST_F(ServeSwapTest, HotSwapMidTrafficEveryResponseBitwiseAttributable) {
   // checkpoint_test), so the reference models ARE the served versions.
   std::unique_ptr<MgbrModel> model_a = MakeModel(1);
   std::unique_ptr<MgbrModel> model_b = MakeModel(2);
-  const std::string dir = UniqueTempDir("swap");
+  const ScopedTempDir temp("serve_swap");
+  const std::string dir = temp.File("swap");
   const std::string ckpt_a = dir + "_a.mgbr";
   const std::string ckpt_b = dir + "_b.mgbr";
   ASSERT_TRUE(SaveParameters(model_a->Parameters(), ckpt_a).ok());
@@ -758,7 +756,8 @@ TEST_F(ServeRetrievalTest, HotSwapNeverServesAStaleIndex) {
   // embeddings would surface wrong candidate sets and break equality.
   std::unique_ptr<Gbgcn> model_a = MakeGbgcn(1);
   std::unique_ptr<Gbgcn> model_b = MakeGbgcn(2);
-  const std::string dir = UniqueTempDir("retrieval_swap");
+  const ScopedTempDir temp("serve_retrieval_swap");
+  const std::string dir = temp.File("retrieval_swap");
   const std::string ckpt_a = dir + "_a.mgbr";
   const std::string ckpt_b = dir + "_b.mgbr";
   ASSERT_TRUE(SaveParameters(model_a->Parameters(), ckpt_a).ok());
@@ -988,7 +987,8 @@ TEST_F(ServeObsTest, ShedBurstTriggersFlightDump) {
   ModelPool pool(Factory(3));
   pool.Install(MakeModel(1), "seed");
 
-  const std::string dump_path = UniqueTempDir("flight") + ".json";
+  const ScopedTempDir temp("serve_flight");
+  const std::string dump_path = temp.File("flight.json");
   ServerConfig config;
   config.queue_capacity = 2;
   config.max_batch = 64;
@@ -1030,7 +1030,6 @@ TEST_F(ServeObsTest, ShedBurstTriggersFlightDump) {
   EXPECT_NE(dump.find("\"queue_wait_us\":"), std::string::npos);
   EXPECT_NE(dump.find("\"batch_wait_us\":"), std::string::npos);
   EXPECT_NE(dump.find("\"score_us\":"), std::string::npos);
-  std::remove(dump_path.c_str());
 
   // Still breaching on the next evaluation: edge-triggered, no re-dump.
   server.slo_monitor()->Evaluate(trace::NowMicros());
@@ -1044,6 +1043,8 @@ TEST_F(ServeObsTest, ShedBurstTriggersFlightDump) {
 
 class ServeValidationTest : public ServeTestBase {
  protected:
+  const ScopedTempDir temp_{"serve_validation"};
+
   static serve::ValidationConfig Gate(double min_ref_overlap = 0.0) {
     serve::ValidationConfig config;
     config.enabled = true;
@@ -1062,7 +1063,7 @@ class ServeValidationTest : public ServeTestBase {
     for (Var& p : params) {
       p.mutable_value().at(0, 0) = std::numeric_limits<float>::quiet_NaN();
     }
-    const std::string path = UniqueTempDir(tag) + ".mgbr";
+    const std::string path = temp_.File(tag + ".mgbr");
     EXPECT_TRUE(SaveParameters(params, path).ok());
     return path;
   }
@@ -1088,7 +1089,6 @@ TEST_F(ServeValidationTest, CanaryRejectsNanPoisonedCheckpoint) {
   EXPECT_EQ(events[1].kind, ModelPool::SwapEvent::Kind::kReject);
   EXPECT_EQ(events[1].source, nan_path);
   EXPECT_FALSE(events[1].detail.empty());
-  std::remove(nan_path.c_str());
 }
 
 TEST_F(ServeValidationTest, CanaryRejectsNanPoisonedInstall) {
@@ -1108,7 +1108,8 @@ TEST_F(ServeValidationTest, CanaryRejectsNanPoisonedInstall) {
 
 TEST_F(ServeValidationTest, CorruptCheckpointBurnsRetriesThenRejects) {
   std::unique_ptr<MgbrModel> source = MakeModel(1);
-  const std::string path = UniqueTempDir("crc") + ".mgbr";
+  const ScopedTempDir temp("serve_crc");
+  const std::string path = temp.File("crc.mgbr");
   ASSERT_TRUE(SaveParameters(source->Parameters(), path).ok());
   {
     // One flipped bit mid-file: the per-section CRC32 catches it.
@@ -1139,12 +1140,12 @@ TEST_F(ServeValidationTest, CorruptCheckpointBurnsRetriesThenRejects) {
   EXPECT_EQ(pool.current_id(), 1);
   EXPECT_EQ(pool.load_retries(), 2);
   EXPECT_EQ(pool.rejected_count(), 1);
-  std::remove(path.c_str());
 }
 
 TEST_F(ServeValidationTest, TransientReadEioIsRetriedOnce) {
   std::unique_ptr<MgbrModel> source = MakeModel(1);
-  const std::string path = UniqueTempDir("eio_retry") + ".mgbr";
+  const ScopedTempDir temp("serve_eio_retry");
+  const std::string path = temp.File("eio_retry.mgbr");
   ASSERT_TRUE(SaveParameters(source->Parameters(), path).ok());
 
   // The injected EIO is one-shot: attempt 0 fails, the retry reads the
@@ -1163,7 +1164,6 @@ TEST_F(ServeValidationTest, TransientReadEioIsRetriedOnce) {
   EXPECT_EQ(pool.current_id(), 1);
   EXPECT_EQ(pool.load_retries(), 1);
   EXPECT_EQ(pool.rejected_count(), 0);
-  std::remove(path.c_str());
 }
 
 TEST_F(ServeValidationTest, AgreementGateScreensDivergentCandidates) {

@@ -1,8 +1,15 @@
 #ifndef MGBR_TESTS_TEST_UTIL_H_
 #define MGBR_TESTS_TEST_UTIL_H_
 
+#include <unistd.h>
+
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <filesystem>
 #include <functional>
+#include <string>
+#include <system_error>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -51,6 +58,38 @@ inline void CheckGradients(std::vector<Var>& leaves,
     }
   }
 }
+
+/// A fresh directory under the test temp directory (`TEST_TMPDIR`, else
+/// /tmp), removed with everything in it when the object goes out of
+/// scope. Names carry the pid, the process start time and a counter: a
+/// pid alone repeats once the OS recycles it, and a test would then
+/// meet whatever an earlier run left under the same name.
+class ScopedTempDir {
+ public:
+  explicit ScopedTempDir(const std::string& tag) {
+    static const int64_t start_ns =
+        std::chrono::system_clock::now().time_since_epoch().count();
+    static std::atomic<int64_t> counter{0};
+    path_ = ::testing::TempDir() + "mgbr_" + tag + "_" +
+            std::to_string(::getpid()) + "_" + std::to_string(start_ns) +
+            "_" + std::to_string(counter++);
+    std::filesystem::create_directories(path_);
+  }
+  ~ScopedTempDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  ScopedTempDir(const ScopedTempDir&) = delete;
+  ScopedTempDir& operator=(const ScopedTempDir&) = delete;
+
+  /// `name` inside the directory; nothing is created.
+  std::string File(const std::string& name) const {
+    return path_ + "/" + name;
+  }
+
+ private:
+  std::string path_;
+};
 
 /// Small deterministic deal-group log used across tests: `n_groups`
 /// groups over `n_users` users / `n_items` items with 0-3 participants.
