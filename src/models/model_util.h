@@ -5,22 +5,6 @@
 
 namespace mgbr {
 
-/// Per-row inner product of two (B x d) batches -> (B x 1); the score
-/// head the baselines use ("we used inner product of two embeddings to
-/// measure their distance", §III-B).
-inline Var RowDot(const Var& a, const Var& b) { return RowSum(Mul(a, b)); }
-
-/// Full-catalogue dot scoring: out[r] = <source[row], table[r]> for
-/// every row of `table`, used in place (no candidate gather). Row r is
-/// bitwise identical to RowDot(Rows(source, {row}), Rows(table, {r}))
-/// — same float products, same per-row sequential double accumulation
-/// — because broadcasting the query is an exact copy and both Mul and
-/// RowSum treat rows independently. Callers on the inference path wrap
-/// it in a NoGradScope.
-inline Var DotAllRows(const Var& source, int64_t row, const Var& table) {
-  return RowDot(BroadcastRow(Rows(source, {row}), table.rows()), table);
-}
-
 /// Appends `extra`'s elements to `params`.
 inline void AppendParams(std::vector<Var>* params, std::vector<Var> extra) {
   for (Var& p : extra) params->push_back(std::move(p));

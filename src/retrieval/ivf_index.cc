@@ -164,8 +164,17 @@ std::vector<int64_t> IvfIndex::Search(const float* query, int64_t k,
                       return sa != sb ? sa > sb : a < b;
                     });
 
-  // Exact scan of the probed lists.
-  std::vector<std::pair<float, int64_t>> cands;
+  // Exact scan of the probed lists into a bounded heap of the k best
+  // (score, id) pairs under the strict (score desc, id asc) order. Ids
+  // are distinct, so the order is total and the kept set is exactly
+  // what sorting every scanned pair would select. The heap top is the
+  // worst kept pair, as in TopKIndices.
+  using Cand = std::pair<float, int64_t>;
+  const auto better = [](const Cand& a, const Cand& b) {
+    return a.first != b.first ? a.first > b.first : a.second < b.second;
+  };
+  std::vector<Cand> heap;
+  heap.reserve(static_cast<size_t>(std::min(k, n_)));
   std::vector<float> scores;
   for (int64_t p = 0; p < nprobe; ++p) {
     const int64_t list = order[static_cast<size_t>(p)];
@@ -177,22 +186,22 @@ std::vector<int64_t> IvfIndex::Search(const float* query, int64_t k,
     kernels::GemmRowsABt(query, list_data_.data() + lo * d_, scores.data(), 1,
                          d_, len);
     for (int64_t r = 0; r < len; ++r) {
-      cands.emplace_back(scores[static_cast<size_t>(r)],
-                         list_ids_[static_cast<size_t>(lo + r)]);
+      const Cand cand(scores[static_cast<size_t>(r)],
+                      list_ids_[static_cast<size_t>(lo + r)]);
+      if (static_cast<int64_t>(heap.size()) < k) {
+        heap.push_back(cand);
+        std::push_heap(heap.begin(), heap.end(), better);
+      } else if (better(cand, heap.front())) {
+        std::pop_heap(heap.begin(), heap.end(), better);
+        heap.back() = cand;
+        std::push_heap(heap.begin(), heap.end(), better);
+      }
     }
   }
 
-  const int64_t take = std::min<int64_t>(k, static_cast<int64_t>(cands.size()));
-  std::partial_sort(cands.begin(), cands.begin() + take, cands.end(),
-                    [](const std::pair<float, int64_t>& a,
-                       const std::pair<float, int64_t>& b) {
-                      return a.first != b.first ? a.first > b.first
-                                                : a.second < b.second;
-                    });
-  std::vector<int64_t> out(static_cast<size_t>(take));
-  for (int64_t i = 0; i < take; ++i) {
-    out[static_cast<size_t>(i)] = cands[static_cast<size_t>(i)].second;
-  }
+  std::sort(heap.begin(), heap.end(), better);
+  std::vector<int64_t> out(heap.size());
+  for (size_t i = 0; i < heap.size(); ++i) out[i] = heap[i].second;
   return out;
 }
 

@@ -57,6 +57,14 @@ Gauge* ModelBytesGauge() {
 }
 #endif  // MGBR_TELEMETRY
 
+/// Refreshes a freshly loaded version. Nothing runs backward through a
+/// served model, so the refresh builds no tape: its cached embeddings
+/// are plain values, bitwise those of a taped refresh (variable.h).
+void RefreshForServing(RecModel* model) {
+  NoGradScope no_grad;
+  model->Refresh();
+}
+
 }  // namespace
 
 ModelPool::ModelPool(Factory factory) : factory_(std::move(factory)) {}
@@ -379,7 +387,7 @@ Status ModelPool::LoadInto(RecModel* model,
   request.params = &params;
   Status status = LoadWithRetry(checkpoint_path, request);
   if (!status.ok()) return status;
-  model->Refresh();
+  RefreshForServing(model);
   return Status::OK();
 }
 
@@ -444,7 +452,7 @@ Status ModelPool::LoadLatest(CheckpointManager* manager) {
     if (status.ok() || status.code() != StatusCode::kIoError) break;
   }
   if (!status.ok()) return status;
-  model->Refresh();
+  RefreshForServing(model.get());
   if (Install(std::move(model), manager->PathFor(epoch)) == 0) {
     return Status::FailedPrecondition("validation rejected '" +
                                       manager->PathFor(epoch) + "'");

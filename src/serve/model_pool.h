@@ -58,7 +58,8 @@ struct LoadRetryPolicy {
 /// The pool owns the currently served model behind a shared_ptr that
 /// readers snapshot with Acquire(). LoadVersion() builds a FRESH model
 /// instance through the factory, restores a checkpoint's parameters
-/// into that instance, runs Refresh() on it, and only then swaps the
+/// into that instance, runs Refresh() on it under a NoGradScope (a
+/// served version keeps no autograd tape), and only then swaps the
 /// pointer — the served model is never mutated in place, so a reader
 /// that acquired the old version keeps scoring off an immutable
 /// snapshot until its last reference drops. A response is therefore

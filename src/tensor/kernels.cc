@@ -80,6 +80,11 @@ void GemmRowsABt(const float* a, const float* b, float* c, int64_t m,
   MGBR_KERNELS_DISPATCH(GemmRowsABt, a, b, c, m, k, n);
 }
 
+void DotRows(const float* a, int64_t a_stride, const float* b, float* out,
+             int64_t row_begin, int64_t row_end, int64_t d) {
+  MGBR_KERNELS_DISPATCH(DotRows, a, a_stride, b, out, row_begin, row_end, d);
+}
+
 void SpmmRows(const int64_t* row_ptr, const int64_t* col_idx,
               const float* values, const float* x, float* out,
               int64_t row_begin, int64_t row_end, int64_t d) {

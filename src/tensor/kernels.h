@@ -20,6 +20,11 @@ namespace kernels {
 ///    k mod kLanes == l) followed by a pairwise tree reduction
 ///    (l, l+4), (s, s+2), (s, s+1) and a sequential tail; the order is
 ///    identical in both variants.
+///  * The one exception is `DotRows`, which sums each row sequentially
+///    in double because it must equal `RowSum(Mul(a, b))` bit for bit:
+///    the dot-product models' recorded scores and trained weights
+///    depend on that order (tests/models_test.cc pins them). It is not
+///    vectorized either.
 ///  * The kernel translation unit is compiled with -ffp-contract=off
 ///    so neither variant silently fuses a*b+c into an FMA the other
 ///    does not.
@@ -59,6 +64,16 @@ void GemmRowsAtB(const float* a, int64_t a_cols, int64_t col0,
 /// dot(A row i, B row j) via the fixed-lane reduction described above.
 void GemmRowsABt(const float* a, const float* b, float* c, int64_t m,
                  int64_t k, int64_t n);
+
+/// out[r] = float(sum_c double(a[r * a_stride + c] * b[r * d + c])) for
+/// r in [row_begin, row_end). Each product is rounded to float before
+/// it is widened, and the double sum runs sequentially in c, so a row
+/// is bitwise RowSum(Mul(a, b)). `a_stride` is d for a batch of row
+/// pairs (RowDot) or 0 to score one query row against every row of b
+/// (DotAllRows). Rows are independent outputs, so ParallelFor may
+/// partition them freely.
+void DotRows(const float* a, int64_t a_stride, const float* b, float* out,
+             int64_t row_begin, int64_t row_end, int64_t d);
 
 // ---------------------------------------------------------------------------
 // Sparse (CSR) row kernels.
@@ -139,6 +154,8 @@ void GemmRowsAtB(const float* a, int64_t a_cols, int64_t col0,
                  const float* b, float* c, int64_t m, int64_t k, int64_t n);
 void GemmRowsABt(const float* a, const float* b, float* c, int64_t m,
                  int64_t k, int64_t n);
+void DotRows(const float* a, int64_t a_stride, const float* b, float* out,
+             int64_t row_begin, int64_t row_end, int64_t d);
 void SpmmRows(const int64_t* row_ptr, const int64_t* col_idx,
               const float* values, const float* x, float* out,
               int64_t row_begin, int64_t row_end, int64_t d);
@@ -170,6 +187,8 @@ void GemmRowsAtB(const float* a, int64_t a_cols, int64_t col0,
                  const float* b, float* c, int64_t m, int64_t k, int64_t n);
 void GemmRowsABt(const float* a, const float* b, float* c, int64_t m,
                  int64_t k, int64_t n);
+void DotRows(const float* a, int64_t a_stride, const float* b, float* out,
+             int64_t row_begin, int64_t row_end, int64_t d);
 void SpmmRows(const int64_t* row_ptr, const int64_t* col_idx,
               const float* values, const float* x, float* out,
               int64_t row_begin, int64_t row_end, int64_t d);

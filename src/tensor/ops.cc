@@ -589,6 +589,56 @@ Var MeanOverRows(const Var& a) {
 }
 
 // ---------------------------------------------------------------------------
+// Row-wise inner products.
+// ---------------------------------------------------------------------------
+
+Var RowDot(const Var& a, const Var& b) {
+  MGBR_CHECK(a.value().same_shape(b.value()));
+  const int64_t d = a.cols();
+  Tensor out(a.rows(), 1);
+  const float* ap = a.value().data();
+  const float* bp = b.value().data();
+  float* op = out.data();
+  ParallelFor(0, a.rows(), RowGrain(d), [=](int64_t lo, int64_t hi) {
+    kernels::DotRows(ap, d, bp, op, lo, hi, d);
+  });
+  return MakeOpVar(std::move(out), {a, b}, [](VarNode& n) {
+    // a gets g[r] * b[r,:], then b gets g[r] * a[r,:]. Each product is
+    // stored before AccumulateInPlace adds it, so no FMA can merge the
+    // two roundings: the gradients are RowSum(Mul(a, b))'s, bit for bit.
+    for (int p = 0; p < 2; ++p) {
+      if (!n.parents[p]->requires_grad) continue;
+      Tensor d = n.parents[1 - p]->value;
+      const int64_t cols = d.cols();
+      float* dp = d.data();
+      const float* gp = n.grad.data();
+      ParallelFor(0, d.rows(), RowGrain(cols), [=](int64_t lo, int64_t hi) {
+        for (int64_t r = lo; r < hi; ++r) {
+          for (int64_t c = 0; c < cols; ++c) dp[r * cols + c] *= gp[r];
+        }
+      });
+      n.parents[p]->EnsureGrad().AccumulateInPlace(d);
+    }
+  });
+}
+
+Var DotAllRows(const Var& source, int64_t row, const Var& table) {
+  MGBR_CHECK_MSG(NoGradScope::Active(),
+                 "DotAllRows is untaped; call it inside a NoGradScope");
+  MGBR_CHECK(row >= 0 && row < source.rows());
+  MGBR_CHECK_EQ(source.cols(), table.cols());
+  const int64_t d = table.cols();
+  Tensor out(table.rows(), 1);
+  const float* query = source.value().data() + row * d;
+  const float* tp = table.value().data();
+  float* op = out.data();
+  ParallelFor(0, table.rows(), RowGrain(d), [=](int64_t lo, int64_t hi) {
+    kernels::DotRows(query, /*a_stride=*/0, tp, op, lo, hi, d);
+  });
+  return Var(std::move(out));
+}
+
+// ---------------------------------------------------------------------------
 // Softmax & losses.
 // ---------------------------------------------------------------------------
 

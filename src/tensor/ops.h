@@ -106,6 +106,25 @@ Var MeanOverRows(const Var& a);
 Var SumOverRows(const Var& a);
 
 // ---------------------------------------------------------------------------
+// Row-wise inner products (kernels::DotRows).
+// ---------------------------------------------------------------------------
+
+/// Per-row inner product of two (B x d) batches -> (B x 1); the score
+/// head the baselines use ("we used inner product of two embeddings to
+/// measure their distance", §III-B). Each float product is widened and
+/// summed in double in column order, so the value is bitwise
+/// RowSum(Mul(a, b)), computed in one pass and one tape node.
+Var RowDot(const Var& a, const Var& b);
+
+/// Full-catalogue dot scoring: out[r] = <source[row], table[r]> for
+/// every row of `table`, reading the query row in place (no broadcast
+/// copy). Row r is bitwise identical to
+/// RowDot(Rows(source, {row}), Rows(table, {r})): one kernel computes
+/// both. Inference only: the result is untaped, and calling it outside
+/// a NoGradScope is a checked error.
+Var DotAllRows(const Var& source, int64_t row, const Var& table);
+
+// ---------------------------------------------------------------------------
 // Expert mixtures.
 // ---------------------------------------------------------------------------
 

@@ -152,6 +152,21 @@ TEST(GradCheckTest, BroadcastRow) {
                  [&] { return Sum(Square(BroadcastRow(leaves[0], 5))); });
 }
 
+TEST(GradCheckTest, RowDotBothInputs) {
+  std::vector<Var> leaves = {Leaf(4, 5, 24), Leaf(4, 5, 25)};
+  CheckGradients(leaves,
+                 [&] { return Sum(Square(RowDot(leaves[0], leaves[1]))); });
+}
+
+TEST(GradCheckTest, RowDotOfTwoGathersFromOneTable) {
+  std::vector<Var> leaves = {Leaf(4, 3, 26)};
+  const std::vector<int64_t> left = {0, 2, 2, 3};
+  const std::vector<int64_t> right = {1, 2, 0, 0};
+  CheckGradients(leaves, [&] {
+    return Sum(Square(RowDot(Rows(leaves[0], left), Rows(leaves[0], right))));
+  });
+}
+
 TEST(GradCheckTest, ConcatColsAllInputs) {
   std::vector<Var> leaves = {Leaf(3, 2, 16), Leaf(3, 1, 17), Leaf(3, 3, 18)};
   CheckGradients(leaves, [&] {

@@ -15,6 +15,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -330,6 +331,108 @@ TEST(KernelsTest, SpmmMatchesReferenceAndVariantsAgree) {
       }
       EXPECT_NEAR(out_simd[static_cast<size_t>(r * d + j)], ref, 1e-4);
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Row-dot kernel.
+// ---------------------------------------------------------------------------
+
+/// The column RowSum(Mul(a, b)) computes: the composition DotRows
+/// replaced behind RowDot and DotAllRows.
+std::vector<float> RowSumOfMul(const Tensor& a, const Tensor& b) {
+  const Var col = RowSum(Mul(Var(a), Var(b)));
+  return std::vector<float>(col.value().data(),
+                            col.value().data() + col.value().numel());
+}
+
+TEST(KernelsTest, DotRowsMatchesRowSumOfMulAndVariantsAgree) {
+  const int64_t rows = 37;
+  for (const int64_t d : {1, 7, 8, 16, 33}) {
+    const auto a = RandomVec(rows * d, 70 + static_cast<uint64_t>(d));
+    const auto b = RandomVec(rows * d, 90 + static_cast<uint64_t>(d));
+    // a_stride d pairs row r of a with row r of b; 0 scores a's first
+    // row against every row of b.
+    for (const int64_t a_stride : {d, int64_t{0}}) {
+      Tensor a_rows(rows, d);
+      for (int64_t r = 0; r < rows; ++r) {
+        std::memcpy(a_rows.data() + r * d, a.data() + r * a_stride,
+                    sizeof(float) * static_cast<size_t>(d));
+      }
+      const std::vector<float> want =
+          RowSumOfMul(a_rows, Tensor::FromVector(rows, d, b));
+      std::vector<float> got_simd(static_cast<size_t>(rows), 0.0f);
+      auto got_scalar = got_simd;
+      auto got_split = got_simd;
+      kernels::simd::DotRows(a.data(), a_stride, b.data(), got_simd.data(), 0,
+                             rows, d);
+      kernels::scalar::DotRows(a.data(), a_stride, b.data(),
+                               got_scalar.data(), 0, rows, d);
+      // Two calls over a split row range write the same rows.
+      kernels::simd::DotRows(a.data(), a_stride, b.data(), got_split.data(), 0,
+                             13, d);
+      kernels::scalar::DotRows(a.data(), a_stride, b.data(),
+                               got_split.data(), 13, rows, d);
+      EXPECT_TRUE(BitEqual(got_simd, want)) << "d=" << d << " s=" << a_stride;
+      EXPECT_TRUE(BitEqual(got_scalar, want))
+          << "d=" << d << " s=" << a_stride;
+      EXPECT_TRUE(BitEqual(got_split, want)) << "d=" << d << " s=" << a_stride;
+    }
+  }
+}
+
+TEST(KernelsTest, RowDotVarMatchesUnfusedCompositionBitwise) {
+  // Values and both gradients, for two leaves, for two gathers of one
+  // table (EATNN's Task B: the table's gradient gets a's share, then
+  // b's), and for one Var on both sides.
+  Rng rng(63);
+  Var left(GaussianInit(9, 7, &rng), true);
+  Var right(GaussianInit(9, 7, &rng), true);
+  Var table(GaussianInit(6, 7, &rng), true);
+  const std::vector<int64_t> gather_a = {0, 3, 3, 5, 1, 0, 2, 4, 5};
+  const std::vector<int64_t> gather_b = {3, 0, 5, 5, 2, 1, 0, 3, 4};
+  using Head = Var (*)(const Var&, const Var&);
+  const Head fused = RowDot;
+  const Head unfused = [](const Var& a, const Var& b) {
+    return RowSum(Mul(a, b));
+  };
+  const std::function<Var(Head)> cases[] = {
+      [&](Head head) { return head(left, right); },
+      [&](Head head) {
+        return head(Rows(table, gather_a), Rows(table, gather_b));
+      },
+      [&](Head head) { return head(left, left); },
+  };
+  for (size_t c = 0; c < std::size(cases); ++c) {
+    std::vector<Tensor> values;
+    std::vector<std::vector<Tensor>> grads;
+    for (const Head head : {fused, unfused}) {
+      for (Var* leaf : {&left, &right, &table}) leaf->ZeroGrad();
+      const Var scores = cases[c](head);
+      // A per-row upstream gradient, so every row's g differs.
+      Mean(LogSigmoid(scores)).Backward();
+      values.push_back(scores.value());
+      grads.push_back({left.grad(), right.grad(), table.grad()});
+    }
+    EXPECT_TRUE(BitEqualT(values[0], values[1])) << "case " << c;
+    for (size_t l = 0; l < grads[0].size(); ++l) {
+      EXPECT_TRUE(BitEqualT(grads[0][l], grads[1][l]))
+          << "case " << c << " leaf " << l;
+    }
+  }
+}
+
+TEST(KernelsTest, DotAllRowsMatchesBroadcastComposition) {
+  Rng rng(64);
+  const Var source(GaussianInit(5, 16, &rng));
+  const Var table(GaussianInit(301, 16, &rng));
+  NoGradScope no_grad;
+  for (int64_t row = 0; row < source.rows(); ++row) {
+    const Var got = DotAllRows(source, row, table);
+    const Var query = BroadcastRow(Rows(source, {row}), table.rows());
+    const Var want = RowSum(Mul(query, table));
+    EXPECT_FALSE(got.requires_grad());
+    EXPECT_TRUE(BitEqualT(got.value(), want.value())) << "row " << row;
   }
 }
 

@@ -1,17 +1,23 @@
+#include <cstdint>
+#include <ios>
 #include <memory>
 
 #include <gtest/gtest.h>
 
+#include "common/checksum.h"
 #include "core/losses.h"
+#include "data/sampler.h"
 #include "models/deep_mf.h"
 #include "models/diffnet.h"
 #include "models/eatnn.h"
 #include "models/gbgcn.h"
 #include "models/gbmf.h"
 #include "models/graph_inputs.h"
+#include "models/lightgcn.h"
 #include "models/ngcf.h"
 #include "tensor/optim.h"
 #include "tests/test_util.h"
+#include "train/trainer.h"
 
 namespace mgbr {
 namespace {
@@ -180,6 +186,94 @@ TEST_F(ModelsTest, EvalScorerMatchesScoreCall) {
   for (size_t i = 0; i < items.size(); ++i) {
     EXPECT_NEAR(via_scorer[i], direct.value().at(static_cast<int64_t>(i), 0),
                 1e-6);
+  }
+}
+
+uint32_t CrcOf(const Tensor& t, uint32_t seed = 0) {
+  return Crc32(t.data(), static_cast<size_t>(t.numel()) * sizeof(float),
+               seed);
+}
+
+TEST(DotModelPinTest, TrainedBitsMatchRecordedChecksums) {
+  // Each dot-product baseline trains a few epochs of both tasks, then
+  // every parameter byte and several full-catalogue score columns are
+  // checksummed. The values were recorded from the RowSum(Mul(...))
+  // composition the row-dot kernel replaced, so any change to a score
+  // or gradient bit in RowDot / DotAllRows fails here. EATNN's Task B
+  // feeds two gathers of one table into one RowDot, where the order
+  // the two gradients reach that table matters.
+  //
+  // Ops outside the kernel translation unit may be contracted into
+  // FMAs when the target has them, so the trained bits depend on that
+  // one property of the build; each branch holds one recording.
+  struct Pinned {
+    const char* name;
+    uint32_t params, score_a_all, score_b_all;
+  };
+#if defined(__FMA__)
+  constexpr Pinned kPinned[] = {
+      {"GBMF", 0x374A6F16u, 0xF0E9E7F4u, 0x168C0695u},
+      {"DeepMF", 0x05C530ACu, 0x28CB1099u, 0x1E425952u},
+      {"DiffNet", 0xCF2FA661u, 0xE62209C6u, 0xE50A2024u},
+      {"EATNN", 0x1169B7E4u, 0xBC001262u, 0xEE5F63B4u},
+      {"LightGCN", 0x3312EB08u, 0xB517DD85u, 0x8E83355Au},
+      {"NGCF", 0x93309681u, 0xDF616956u, 0x583F4D2Cu},
+      {"GBGCN", 0xFA2AE270u, 0xE2B44916u, 0x3EE629A8u},
+  };
+#else
+  constexpr Pinned kPinned[] = {
+      {"GBMF", 0xDD5B1500u, 0x558952EAu, 0x83DCDF55u},
+      {"DeepMF", 0xC0FF2B78u, 0x9745B9B4u, 0x5BE7E9D6u},
+      {"DiffNet", 0x30136D17u, 0x968B0F2Du, 0xDE4CBA59u},
+      {"EATNN", 0xF2080436u, 0x8F3358E6u, 0xB724B2DEu},
+      {"LightGCN", 0xD71F951Fu, 0x3EBA7E7Bu, 0xC6049B49u},
+      {"NGCF", 0x34CBEB5Eu, 0x25F1AA98u, 0x6A8C1E65u},
+      {"GBGCN", 0x80AEE99Du, 0x9A46AD7Bu, 0x0A0D56CCu},
+  };
+#endif
+  const GroupBuyingDataset dataset = TinyDataset(16, 8, 60, 27);
+  const GraphInputs graphs = BuildGraphInputs(dataset);
+  InteractionIndex index(dataset);
+  TrainingSampler sampler(dataset, &index);
+  Rng r1(11), r2(12), r3(13), r4(14), r5(15), r6(16), r7(17);
+  std::vector<std::unique_ptr<RecModel>> models;
+  models.push_back(
+      std::make_unique<Gbmf>(graphs.n_users, graphs.n_items, 8, &r1));
+  models.push_back(
+      std::make_unique<DeepMf>(graphs.n_users, graphs.n_items, 8, 2, &r2));
+  models.push_back(std::make_unique<DiffNet>(graphs, dataset, 8, 2, &r3));
+  models.push_back(std::make_unique<Eatnn>(graphs, 8, &r4));
+  models.push_back(std::make_unique<LightGcn>(graphs, 8, 2, &r5));
+  models.push_back(std::make_unique<Ngcf>(graphs, 8, 2, &r6));
+  models.push_back(std::make_unique<Gbgcn>(graphs, 8, 2, &r7));
+  ASSERT_EQ(models.size(), std::size(kPinned));
+
+  for (size_t m = 0; m < models.size(); ++m) {
+    RecModel* model = models[m].get();
+    ASSERT_EQ(model->name(), kPinned[m].name);
+    TrainConfig config;
+    config.epochs = 3;
+    config.batch_size = 32;
+    config.negs_per_pos = 1;
+    config.learning_rate = 0.02f;
+    Trainer trainer(model, &sampler, config);
+    trainer.Train();
+    model->Refresh();
+    uint32_t params = 0;
+    for (const Var& p : model->Parameters()) params = CrcOf(p.value(), params);
+    uint32_t score_a = 0;
+    uint32_t score_b = 0;
+    for (int64_t u : {0, 5, 9, 15}) {
+      score_a = CrcOf(model->ScoreAAll(u).value(), score_a);
+      score_b = CrcOf(model->ScoreBAll(u, u % graphs.n_items).value(),
+                      score_b);
+    }
+    EXPECT_EQ(params, kPinned[m].params)
+        << kPinned[m].name << " params 0x" << std::hex << params;
+    EXPECT_EQ(score_a, kPinned[m].score_a_all)
+        << kPinned[m].name << " ScoreAAll 0x" << std::hex << score_a;
+    EXPECT_EQ(score_b, kPinned[m].score_b_all)
+        << kPinned[m].name << " ScoreBAll 0x" << std::hex << score_b;
   }
 }
 

@@ -223,6 +223,25 @@ TEST(OpsDeathTest, ShapeMismatchAborts) {
   EXPECT_DEATH(MatMul(a, a), "MatMul shape mismatch");
 }
 
+TEST(OpsTest, RowDotAndDotAllRows) {
+  Var a = V({1, 2, 3, 4, 5, 6}, 2, 3, /*grad=*/true);
+  Var b = V({2, 0, 1, -1, 1, 0.5f}, 2, 3);
+  Var dots = RowDot(a, b);
+  EXPECT_TRUE(AllClose(dots.value(), Tensor::FromVector(2, 1, {5, 4})));
+  EXPECT_TRUE(dots.requires_grad());
+  NoGradScope no_grad;
+  // Row 1 of `a` against both rows of `b`.
+  Var all = DotAllRows(a, 1, b);
+  EXPECT_TRUE(AllClose(all.value(), Tensor::FromVector(2, 1, {14, 4})));
+  EXPECT_FALSE(all.requires_grad());
+}
+
+TEST(OpsDeathTest, DotAllRowsOutsideNoGradScopeAborts) {
+  Var source = V({1, 2}, 1, 2, /*grad=*/true);
+  Var table = V({1, 2, 3, 4}, 2, 2, /*grad=*/true);
+  EXPECT_DEATH(DotAllRows(source, 0, table), "NoGradScope");
+}
+
 TEST(OpsTest, RequiresGradPropagates) {
   Var a = V({1, 2}, 1, 2, /*grad=*/true);
   Var b = V({3, 4}, 1, 2, /*grad=*/false);

@@ -5,9 +5,11 @@
 // TopKIndices, and the two-stage ANN + exact-re-rank pipeline against
 // the brute-force reference path.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -141,6 +143,52 @@ TEST(IvfIndexTest, EqualScoreTiesSurfaceLowestIdFirst) {
   const std::vector<int64_t> got =
       index.Search(data.data() + 3 * d, 3, index.nlist());
   EXPECT_EQ(got, (std::vector<int64_t>{3, 20, 41}));
+}
+
+TEST(IvfIndexTest, BoundedHeapMatchesMaterializedSortOnTies) {
+  // Entries from {-1, 0, 1} over d = 4 give at most 81 distinct rows
+  // among 500, and integer scores, so most scores tie exactly and the
+  // id tiebreak decides which rows make the cut.
+  const int64_t n = 500, d = 4;
+  Rng rng(17);
+  std::vector<float> data(static_cast<size_t>(n * d));
+  for (float& v : data) v = static_cast<float>(rng.UniformInt(3)) - 1.0f;
+  IvfConfig config;
+  config.nlist = 16;
+  IvfIndex index;
+  index.Build(data.data(), n, d, config);
+
+  for (int trial = 0; trial < 6; ++trial) {
+    std::vector<float> query(static_cast<size_t>(d));
+    for (float& v : query) v = static_cast<float>(rng.UniformInt(3)) - 1.0f;
+    const std::vector<double> exact = ExactScores(data, n, d, query.data());
+    for (const int64_t nprobe : {int64_t{1}, int64_t{3}, index.nlist()}) {
+      // k = n keeps every row of the probed lists: the candidate set.
+      const std::vector<int64_t> probed = index.Search(query.data(), n, nprobe);
+      // Reference: materialize every (score, id) pair and partial_sort.
+      std::vector<std::pair<float, int64_t>> cands;
+      for (const int64_t id : probed) {
+        cands.emplace_back(static_cast<float>(exact[static_cast<size_t>(id)]),
+                           id);
+      }
+      for (const int64_t k : {1, 2, 7, 40, 600}) {
+        const int64_t take =
+            std::min<int64_t>(k, static_cast<int64_t>(cands.size()));
+        auto ref = cands;
+        std::partial_sort(ref.begin(), ref.begin() + take, ref.end(),
+                          [](const auto& a, const auto& b) {
+                            return a.first != b.first ? a.first > b.first
+                                                      : a.second < b.second;
+                          });
+        std::vector<int64_t> want(static_cast<size_t>(take));
+        for (int64_t i = 0; i < take; ++i) {
+          want[static_cast<size_t>(i)] = ref[static_cast<size_t>(i)].second;
+        }
+        EXPECT_EQ(index.Search(query.data(), k, nprobe), want)
+            << "trial " << trial << " nprobe " << nprobe << " k " << k;
+      }
+    }
+  }
 }
 
 TEST(IvfIndexTest, ReturnsFewerIdsWhenProbedListsRunOut) {

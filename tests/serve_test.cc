@@ -245,6 +245,49 @@ TEST_F(ModelPoolTest, LoadLatestUsesNewestVerifyingCheckpoint) {
             0);
 }
 
+TEST_F(ModelPoolTest, LoadedVersionsRefreshWithoutATape) {
+  // Nothing runs backward through a served version, so LoadVersion and
+  // LoadLatest refresh it without a tape; its scores keep the bits of
+  // a copy refreshed with the tape on.
+  Rng rng(5);
+  Gbgcn source(graphs_, /*dim=*/8, /*n_layers=*/2, &rng);
+  const ScopedTempDir temp("serve_notape");
+  const std::string path = temp.File("gbgcn.mgbr");
+  ASSERT_TRUE(SaveParameters(source.Parameters(), path).ok());
+  CheckpointManager manager(temp.File("latest"));
+  std::vector<Var> params = source.Parameters();
+  CheckpointWriteRequest write;
+  write.params = &params;
+  ASSERT_TRUE(manager.Save(write, 1).ok());
+
+  source.Refresh();
+  const std::vector<int64_t> users = {0, 3, 7, 11, 3};
+  const std::vector<int64_t> items = {1, 5, 0, 2, 4};
+  const Var want = source.ScoreA(users, items);
+  ASSERT_TRUE(want.requires_grad());
+  const size_t bytes =
+      sizeof(float) * static_cast<size_t>(want.value().numel());
+
+  // The factory's models are not refreshed: the pool's refresh is the
+  // only one.
+  ModelPool::Factory factory = [this] {
+    Rng init(99);
+    return std::unique_ptr<RecModel>(
+        std::make_unique<Gbgcn>(graphs_, 8, 2, &init));
+  };
+  for (const bool latest : {false, true}) {
+    ModelPool pool(factory);
+    ASSERT_TRUE(
+        (latest ? pool.LoadLatest(&manager) : pool.LoadVersion(path)).ok());
+    const Var got = pool.Acquire()->model->ScoreA(users, items);
+    const char* how = latest ? "LoadLatest" : "LoadVersion";
+    EXPECT_FALSE(got.requires_grad()) << how;
+    ASSERT_EQ(got.value().numel(), want.value().numel()) << how;
+    EXPECT_EQ(std::memcmp(got.value().data(), want.value().data(), bytes), 0)
+        << how;
+  }
+}
+
 TEST_F(ServeServerTest, ResponsesMatchDirectScoringBitwise) {
   ModelPool pool(Factory(3));
   pool.Install(MakeModel(1), "seed");
