@@ -737,27 +737,12 @@ int RunChaos(const LoadgenOptions& opt) {
       js += ",\"violations\":[";
       for (size_t i = 0; i < out.violations.size(); ++i) {
         if (i > 0) js += ',';
-        js += '"';
-        for (char c : out.violations[i]) {
-          if (c == '"' || c == '\\') js += '\\';
-          js += c;
-        }
-        js += '"';
+        internal::AppendJsonString(out.violations[i], &js);
       }
       js += "]},\"swap\":{";
-      js += "\"swap_count\":" + std::to_string(pool.swap_count());
-      js += ",\"swap_rejected\":" + std::to_string(pool.rejected_count());
-      js += ",\"rollbacks\":" + std::to_string(pool.rollback_count());
-      js += ",\"load_retries\":" + std::to_string(pool.load_retries());
+      serve::AppendStatsJson(pool.stats(), &js);
       js += "},\"server\":{";
-      js += "\"submitted\":" + std::to_string(stats.submitted);
-      js += ",\"admitted\":" + std::to_string(stats.admitted);
-      js += ",\"shed_queue_full\":" + std::to_string(stats.shed_queue_full);
-      js += ",\"shed_deadline\":" + std::to_string(stats.shed_deadline);
-      js += ",\"shed_load\":" + std::to_string(stats.shed_load);
-      js += ",\"completed\":" + std::to_string(stats.completed);
-      js += ",\"invalid\":" + std::to_string(stats.invalid);
-      js += ",\"worker_restarts\":" + std::to_string(stats.worker_restarts);
+      serve::AppendStatsJson(stats, &js);
       js += "}}\n";
       std::FILE* f = std::fopen(opt.json_out.c_str(), "w");
       if (f == nullptr ||
@@ -806,8 +791,9 @@ int Run(const LoadgenOptions& opt) {
   config.obs.flight_capacity = opt.flight_capacity;
   config.obs.flight_dump_path = opt.flight_dump_out;
   if (opt.metrics_port >= 0) {
-    // /metrics is rendered from the registry; without the runtime
-    // switch the serve.* series would scrape as all-zero.
+    // The serve counts scrape without the runtime switch; it turns on
+    // the serve.* latency, stage and batch-size histograms, which
+    // /metrics renders from the registry.
     SetTelemetryEnabled(true);
   }
   Server server(&pool, config);
@@ -961,21 +947,7 @@ int Run(const LoadgenOptions& opt) {
     // The server's own lifetime accounting (cache fill included), the
     // ground truth the CI scrape-reconciliation checks /metrics against.
     out += "},\"server\":{";
-    out += "\"submitted\":" + std::to_string(stats.submitted);
-    out += ",\"admitted\":" + std::to_string(stats.admitted);
-    out += ",\"shed_queue_full\":" + std::to_string(stats.shed_queue_full);
-    out += ",\"shed_deadline\":" + std::to_string(stats.shed_deadline);
-    out += ",\"completed\":" + std::to_string(stats.completed);
-    out += ",\"invalid\":" + std::to_string(stats.invalid);
-    out += ",\"late_completions\":" + std::to_string(stats.late_completions);
-    out += ",\"batches\":" + std::to_string(stats.batches);
-    out += ",\"unique_scored\":" + std::to_string(stats.unique_scored);
-    out += ",\"coalesced\":" + std::to_string(stats.coalesced);
-    out += ",\"cache_hits\":" + std::to_string(stats.cache_hits);
-    out += ",\"two_stage\":" + std::to_string(stats.two_stage);
-    out += ",\"quant_scored\":" + std::to_string(stats.quant_scored);
-    out += ",\"shed_load\":" + std::to_string(stats.shed_load);
-    out += ",\"worker_restarts\":" + std::to_string(stats.worker_restarts);
+    serve::AppendStatsJson(stats, &out);
     // Flight-recorder dumps the SLO monitor's shed trigger wrote.
     out += ",\"flight_dumps\":" + std::to_string(server.flight_dumps());
     // Final bound port (ephemeral-port runs included), so the CI scrape

@@ -11,10 +11,11 @@ what the server itself counted:
   * the final /metrics scrape parses as Prometheus text 0.0.4 — every
     histogram's bucket counts are cumulative, end in an `+Inf` bucket,
     and that bucket equals `_count`;
-  * the scraped serve_* counters equal the `server` object in the
-    loadgen report (requests == completed + shed_queue_full +
-    shed_deadline + shed_load + invalid, and each counter matches
-    field-for-field);
+  * every count in the loadgen report's `server` object has a
+    `serve_<name>` series with the same value — the report and /metrics
+    render the server's one set of counts from one field list, so after
+    the drain they agree exactly — and submitted == completed +
+    shed_queue_full + shed_deadline + shed_load + invalid;
   * /healthz reported `running` mid-run and `stopped` after the drain;
   * optionally, a /varz scrape's `exporter_port` equals the report's
     `server.metrics_port` — proof that the port CI actually scraped is
@@ -22,8 +23,8 @@ what the server itself counted:
     may fall back to an ephemeral one, so the configured port is not
     evidence).
 
-A counter that never fired is simply absent from the scrape (metrics
-are registered on first touch), so missing serve_* series read as 0.
+The server renders every serve_<name> series on every scrape, with
+telemetry on or off, so a missing series is an error, never a zero.
 
 Usage:
     check_scrape.py REPORT.json FINAL.prom FINAL_healthz.json \
@@ -105,41 +106,30 @@ def check_histograms(values, types):
     return checked
 
 
-# /metrics series name -> field of the report's "server" object. The
-# report is written from ServerStats after Stop(), i.e. the same
-# atomics the telemetry macros mirror, so after the drain the two views
-# must agree exactly.
-RECONCILED = {
-    "serve_requests": "submitted",
-    "serve_admitted": "admitted",
-    "serve_shed_queue_full": "shed_queue_full",
-    "serve_shed_deadline": "shed_deadline",
-    "serve_completed": "completed",
-    "serve_batches": "batches",
-    "serve_cache_hits": "cache_hits",
-    "serve_shed_load": "shed_load",
-    "serve_worker_restarts": "worker_restarts",
-}
+# Fields of the report's server object that are not server counts and
+# so have no serve_<name> series.
+REPORT_ONLY = ("flight_dumps", "metrics_port")
+SUM_FIELDS = ("submitted", "completed", "shed_queue_full", "shed_deadline",
+              "shed_load", "invalid")
 
 
 def check_reconciliation(values, server):
-    # shed_load/worker_restarts entered the report later; an older
-    # report simply omits them and the scrape must then read 0 too.
-    optional = {"shed_load", "worker_restarts"}
-    for series, field in RECONCILED.items():
-        scraped = values.get(series, 0.0)
-        reported = server.get(field, 0 if field in optional else None)
-        _require(reported is not None,
-                 f"report's server object is missing {field!r}")
-        _require(scraped == reported,
-                 f"{series} scraped {scraped:g} != report "
+    """Returns the number of counts reconciled."""
+    counts = {k: v for k, v in server.items() if k not in REPORT_ONLY}
+    for field, reported in counts.items():
+        series = "serve_" + field
+        _require(series in values,
+                 f"report field {field!r} has no {series} series")
+        _require(values[series] == reported,
+                 f"{series} scraped {values[series]:g} != report "
                  f"{field} {reported}")
-    total = (server["completed"] + server["shed_queue_full"] +
-             server["shed_deadline"] + server.get("shed_load", 0) +
-             server["invalid"])
+    missing = [field for field in SUM_FIELDS if field not in server]
+    _require(not missing, f"report's server object is missing {missing}")
+    total = sum(server[field] for field in SUM_FIELDS[1:])
     _require(server["submitted"] == total,
              f"submitted {server['submitted']} != completed + shed + "
              f"invalid {total}")
+    return len(counts)
 
 
 def check_varz(raw, server):
@@ -176,36 +166,34 @@ def run_checks(report, final_prom, final_healthz, mid_healthz, varz=None):
              "report has no server object (loadgen too old?)")
     values, types = parse_prometheus(final_prom)
     histograms = check_histograms(values, types)
-    check_reconciliation(values, server)
+    reconciled = check_reconciliation(values, server)
     check_healthz(mid_healthz, "running")
     check_healthz(final_healthz, "stopped")
     if varz is not None:
         check_varz(varz, server)
     shed = (server["shed_queue_full"] + server["shed_deadline"] +
-            server.get("shed_load", 0))
+            server["shed_load"])
     print(f"scrape gate: {len(values)} samples, {histograms} histograms "
-          f"valid, {len(RECONCILED)} serve counters reconciled, "
+          f"valid, {reconciled} serve counters reconciled, "
           f"submitted {server['submitted']} == completed "
           f"{server['completed']} + shed {shed} + "
           f"invalid {server['invalid']}"
           + ("" if varz is None else ", exporter port verified"))
 
 
-SELF_TEST_PROM = """\
-# TYPE serve_requests counter
-serve_requests 10
-# TYPE serve_admitted counter
-serve_admitted 9
-# TYPE serve_completed counter
-serve_completed 8
-# TYPE serve_shed_queue_full counter
-serve_shed_queue_full 1
-# TYPE serve_shed_deadline counter
-serve_shed_deadline 1
-# TYPE serve_batches counter
-serve_batches 2
-# TYPE serve_cache_hits counter
-serve_cache_hits 3
+SELF_TEST_SERVER = {
+    "submitted": 10, "admitted": 9, "shed_queue_full": 1,
+    "shed_deadline": 1, "completed": 8, "invalid": 0,
+    "late_completions": 0, "batches": 2, "unique_scored": 4,
+    "coalesced": 0, "cache_hits": 3, "two_stage": 0, "quant_scored": 0,
+    "shed_load": 0, "worker_restarts": 0, "flight_dumps": 1,
+    "metrics_port": 9109,
+}
+
+SELF_TEST_PROM = "".join(
+    f"# TYPE serve_{name} counter\nserve_{name} {value}\n"
+    for name, value in SELF_TEST_SERVER.items()
+    if name not in REPORT_ONLY) + """\
 # TYPE serve_latency_us histogram
 serve_latency_us_bucket{le="100"} 3
 serve_latency_us_bucket{le="1000"} 7
@@ -213,14 +201,6 @@ serve_latency_us_bucket{le="+Inf"} 8
 serve_latency_us_sum 4200
 serve_latency_us_count 8
 """
-
-SELF_TEST_SERVER = {
-    "submitted": 10, "admitted": 9, "shed_queue_full": 1,
-    "shed_deadline": 1, "completed": 8, "invalid": 0,
-    "late_completions": 0, "batches": 2, "unique_scored": 4,
-    "coalesced": 0, "cache_hits": 3, "shed_load": 0,
-    "worker_restarts": 0, "metrics_port": 9109,
-}
 
 SELF_TEST_VARZ = '{"state":"stopped","exporter_port":9109}'
 
@@ -252,9 +232,12 @@ def self_test():
         "accepts a consistent scrape": lambda: (
             run_checks(report, SELF_TEST_PROM, stopped, running) or True),
         "rejects a counter mismatch": lambda: fails(
-            lambda r, p, h: r["server"].update(completed=7)),
+            lambda r, p, h: r["server"].update(batches=3)),
         "rejects a broken sum invariant": lambda: fails(
-            lambda r, p, h: r["server"].update(submitted=11)),
+            lambda r, p, h: (r["server"].update(submitted=11),
+                             p.__setitem__(0, p[0].replace(
+                                 "serve_submitted 10",
+                                 "serve_submitted 11")))),
         "rejects non-cumulative buckets": lambda: fails(
             lambda r, p, h: p.__setitem__(0, p[0].replace(
                 'le="1000"} 7', 'le="1000"} 2'))),
@@ -267,22 +250,13 @@ def self_test():
         "rejects a draining final healthz": lambda: fails(
             lambda r, p, h: h.__setitem__(
                 1, running.replace("running", "draining"))),
-        "treats an absent shed counter as zero": lambda: (
-            run_checks(
-                {"schema": "mgbr-loadgen-v1",
-                 "server": dict(SELF_TEST_SERVER, submitted=9,
-                                shed_deadline=0)},
-                SELF_TEST_PROM.replace(
-                    "# TYPE serve_shed_deadline counter\n"
-                    "serve_shed_deadline 1\n", "").replace(
-                    "serve_requests 10", "serve_requests 9"),
-                stopped, running) or True),
-        "accepts a report without the newer counters": lambda: (
-            run_checks(
-                {"schema": "mgbr-loadgen-v1",
-                 "server": {k: v for k, v in SELF_TEST_SERVER.items()
-                            if k not in ("shed_load", "worker_restarts")}},
-                SELF_TEST_PROM, stopped, running) or True),
+        "rejects a missing series": lambda: fails(
+            lambda r, p, h: p.__setitem__(0, p[0].replace(
+                "serve_late_completions 0\n", ""))),
+        "rejects a report field with no series": lambda: fails(
+            lambda r, p, h: r["server"].update(new_count=0)),
+        "rejects a report without shed_load": lambda: fails(
+            lambda r, p, h: r["server"].pop("shed_load")),
         "rejects a shed_load mismatch": lambda: fails(
             lambda r, p, h: r["server"].update(shed_load=1)),
         "accepts a matching varz port": lambda: (

@@ -27,15 +27,18 @@ Var RecModel::ScoreBAll(int64_t u, int64_t item) {
   return ScoreB(users, items, parts);
 }
 
+std::vector<double> RecModel::ColumnToDoubles(const Var& column) {
+  std::vector<double> out(static_cast<size_t>(column.rows()));
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i] = column.value().at(static_cast<int64_t>(i), 0);
+  }
+  return out;
+}
+
 TaskAScorer RecModel::MakeTaskAScorer() {
   return [this](int64_t u, const std::vector<int64_t>& items) {
     std::vector<int64_t> users(items.size(), u);
-    Var scores = ScoreA(users, items);
-    std::vector<double> out(items.size());
-    for (size_t i = 0; i < items.size(); ++i) {
-      out[i] = scores.value().at(static_cast<int64_t>(i), 0);
-    }
-    return out;
+    return ColumnToDoubles(ScoreA(users, items));
   };
 }
 
@@ -43,29 +46,9 @@ TaskBScorer RecModel::MakeTaskBScorer() {
   return [this](int64_t u, int64_t item, const std::vector<int64_t>& parts) {
     std::vector<int64_t> users(parts.size(), u);
     std::vector<int64_t> items(parts.size(), item);
-    Var scores = ScoreB(users, items, parts);
-    std::vector<double> out(parts.size());
-    for (size_t i = 0; i < parts.size(); ++i) {
-      out[i] = scores.value().at(static_cast<int64_t>(i), 0);
-    }
-    return out;
+    return ColumnToDoubles(ScoreB(users, items, parts));
   };
 }
-
-namespace {
-
-/// Copies a (B x 1) score column into the double vector the evaluator
-/// consumes. float -> double widening is exact, so downstream rank
-/// comparisons see the scores bit-for-bit.
-std::vector<double> ColumnToDoubles(const Var& scores) {
-  std::vector<double> out(static_cast<size_t>(scores.rows()));
-  for (size_t i = 0; i < out.size(); ++i) {
-    out[i] = scores.value().at(static_cast<int64_t>(i), 0);
-  }
-  return out;
-}
-
-}  // namespace
 
 BatchTaskAScorer RecModel::MakeBatchTaskAScorer() {
   return [this](const std::vector<int64_t>& users,

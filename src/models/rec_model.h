@@ -120,6 +120,14 @@ class RecModel {
   /// Total number of scalar parameters (Table V).
   int64_t ParameterCount() const;
 
+  /// Copies a (B x 1) score column into the double vector the
+  /// evaluator and top-K selection consume. float -> double widening is
+  /// exact, so downstream rank comparisons see the scores bit-for-bit.
+  /// A static member rather than a free function: argument-dependent
+  /// lookup on Var would make a same-named helper in a caller's own
+  /// namespace ambiguous.
+  static std::vector<double> ColumnToDoubles(const Var& column);
+
   /// Evaluation adapters wrapping ScoreA/ScoreB (no Refresh inside —
   /// caller refreshes once per pass).
   TaskAScorer MakeTaskAScorer();

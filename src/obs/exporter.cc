@@ -134,9 +134,11 @@ std::string Exporter::HandleRequest(const std::string& method,
   const std::string query =
       q == std::string::npos ? std::string() : target.substr(q + 1);
   if (path == "/metrics") {
-    return BuildResponse(
-        200, "OK", "text/plain; version=0.0.4; charset=utf-8",
-        RenderPrometheusText(MetricsRegistry::Global().Snapshot()));
+    return BuildResponse(200, "OK", "text/plain; version=0.0.4; charset=utf-8",
+                         RenderPrometheusText(
+                             metrics_handler_
+                                 ? metrics_handler_()
+                                 : MetricsRegistry::Global().Snapshot()));
   }
   if (path == "/healthz") {
     const std::string body = healthz_handler_ ? healthz_handler_()

@@ -6,6 +6,7 @@
 #include <string>
 #include <thread>
 
+#include "common/metrics.h"
 #include "common/status.h"
 
 namespace mgbr::obs {
@@ -28,8 +29,9 @@ struct ExporterConfig {
 
 /// Minimal self-contained HTTP/1.1 exposition server (POSIX sockets,
 /// no third-party deps), one thread, one connection at a time:
-///   GET /metrics   Prometheus text format 0.0.4 rendered from
-///                  MetricsRegistry::Global()
+///   GET /metrics   Prometheus text format 0.0.4 rendered from the
+///                  registered metrics handler's snapshot (default:
+///                  MetricsRegistry::Global().Snapshot())
 ///   GET /healthz   JSON from the registered healthz handler
 ///                  (default {"status":"ok"})
 ///   GET /varz      JSON from the registered varz handler (default:
@@ -61,6 +63,9 @@ class Exporter {
   void set_varz_handler(std::function<std::string(bool)> handler) {
     varz_handler_ = std::move(handler);
   }
+  void set_metrics_handler(std::function<MetricsSnapshot()> handler) {
+    metrics_handler_ = std::move(handler);
+  }
 
   /// Routes one parsed request; exposed for handler tests that want to
   /// skip the socket layer. `target` is the raw request target, e.g.
@@ -78,6 +83,7 @@ class Exporter {
   std::thread thread_;
   std::function<std::string()> healthz_handler_;
   std::function<std::string(bool)> varz_handler_;
+  std::function<MetricsSnapshot()> metrics_handler_;
 };
 
 }  // namespace mgbr::obs

@@ -3,27 +3,9 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "common/metrics.h"
 #include "common/string_util.h"
 
 namespace mgbr::serve {
-
-namespace {
-
-#if MGBR_TELEMETRY
-Gauge* LevelGauge() {
-  static Gauge* g =
-      MetricsRegistry::Global().GetGauge("serve.degrade_level");
-  return g;
-}
-Counter* TransitionsCounter() {
-  static Counter* c =
-      MetricsRegistry::Global().GetCounter("serve.degrade_transitions");
-  return c;
-}
-#endif  // MGBR_TELEMETRY
-
-}  // namespace
 
 const char* DegradeLevelName(int level) {
   switch (level) {
@@ -80,8 +62,6 @@ void DegradationController::SetLevel(int level) {
   }
   MGBR_LOG_WARNING("degrade: ", prev > level ? "release" : "engage", " ",
                    DegradeLevelName(prev), " -> ", DegradeLevelName(level));
-  MGBR_GAUGE_SET(LevelGauge(), static_cast<double>(level));
-  MGBR_COUNTER_ADD(TransitionsCounter(), 1);
 }
 
 int64_t DegradationController::EffectiveNprobe(

@@ -9,7 +9,6 @@
 #include "common/check.h"
 #include "common/fault.h"
 #include "common/logging.h"
-#include "common/metrics.h"
 #include "common/rng.h"
 #include "eval/metrics.h"
 #include "tensor/variable.h"
@@ -20,42 +19,6 @@ namespace {
 
 /// Swap audit log retention (installs + rejections + rollbacks).
 constexpr size_t kMaxSwapEvents = 64;
-
-#if MGBR_TELEMETRY
-Counter* SwapCounter() {
-  static Counter* c =
-      MetricsRegistry::Global().GetCounter("serve.model_swaps");
-  return c;
-}
-
-Counter* RejectedCounter() {
-  static Counter* c =
-      MetricsRegistry::Global().GetCounter("serve.swap_rejected");
-  return c;
-}
-
-Counter* RollbacksCounter() {
-  static Counter* c =
-      MetricsRegistry::Global().GetCounter("serve.rollbacks");
-  return c;
-}
-
-Counter* LoadRetriesCounter() {
-  static Counter* c =
-      MetricsRegistry::Global().GetCounter("serve.load_retries");
-  return c;
-}
-
-Gauge* VersionGauge() {
-  static Gauge* g = MetricsRegistry::Global().GetGauge("serve.model_version");
-  return g;
-}
-
-Gauge* ModelBytesGauge() {
-  static Gauge* g = MetricsRegistry::Global().GetGauge("serve.model_bytes");
-  return g;
-}
-#endif  // MGBR_TELEMETRY
 
 /// Refreshes a freshly loaded version. Nothing runs backward through a
 /// served model, so the refresh builds no tape: its cached embeddings
@@ -100,15 +63,6 @@ int64_t ModelPool::ServedTableBytes(const Version& version) {
   if (version.model->RetrievalItemView(&data, &n, &d)) bytes += n * d * 4;
   if (version.model->RetrievalPartView(&data, &n, &d)) bytes += n * d * 4;
   return bytes;
-}
-
-void ModelPool::ExportModelBytes(const Version& version) const {
-#if MGBR_TELEMETRY
-  MGBR_GAUGE_SET(ModelBytesGauge(),
-                 static_cast<double>(ServedTableBytes(version)));
-#else
-  (void)version;
-#endif
 }
 
 void ModelPool::RecordEvent(SwapEvent event) {
@@ -187,11 +141,10 @@ int64_t ModelPool::Install(std::unique_ptr<RecModel> model,
     if (!verdict.ok()) {
       {
         std::lock_guard<std::mutex> lock(mu_);
-        ++rejected_;
+        ++stats_.swap_rejected;
       }
       MGBR_LOG_WARNING("pool: rejected candidate '", source, "': ",
                        verdict.message());
-      MGBR_COUNTER_ADD(RejectedCounter(), 1);
       RecordEvent(SwapEvent{SwapEvent::Kind::kReject, 0, source,
                             verdict.message()});
       return 0;
@@ -205,7 +158,6 @@ int64_t ModelPool::Install(std::unique_ptr<RecModel> model,
   // another version's index or quantized table.
   version->retriever = BuildRetriever(*version->model);
   version->quant = BuildQuant(*version->model);
-  ExportModelBytes(*version);
   int64_t id = 0;
   std::string event_source;
   {
@@ -215,14 +167,10 @@ int64_t ModelPool::Install(std::unique_ptr<RecModel> model,
     // target.
     previous_ = current_;
     current_ = std::move(version);
-    ++swaps_;
+    ++stats_.swap_count;
     if (validation.enabled) reference_signature_ = std::move(signature);
     id = current_->id;
     event_source = current_->source;
-#if MGBR_TELEMETRY
-    MGBR_COUNTER_ADD(SwapCounter(), 1);
-    MGBR_GAUGE_SET(VersionGauge(), static_cast<double>(current_->id));
-#endif
   }
   RecordEvent(SwapEvent{SwapEvent::Kind::kInstall, id,
                         std::move(event_source), ""});
@@ -242,15 +190,10 @@ Status ModelPool::Rollback() {
     // stay bitwise valid), and a second Rollback undoes the first.
     std::swap(current_, previous_);
     restored = current_;
-    ++rollbacks_;
-#if MGBR_TELEMETRY
-    MGBR_GAUGE_SET(VersionGauge(), static_cast<double>(restored->id));
-#endif
+    ++stats_.rollbacks;
   }
-  ExportModelBytes(*restored);
   MGBR_LOG_WARNING("pool: rolled back to version ", restored->id, " ('",
                    restored->source, "')");
-  MGBR_COUNTER_ADD(RollbacksCounter(), 1);
   RecordEvent(SwapEvent{SwapEvent::Kind::kRollback, restored->id,
                         restored->source, ""});
   // Re-anchor the agreement reference on the restored model: the next
@@ -334,13 +277,18 @@ void ModelPool::EnableQuantization(QuantMode mode) {
   // newer version already carries its own view; drop ours.
   auto upgraded = std::make_shared<Version>(*served);
   upgraded->quant = QuantizedEmbeddingView::BuildFor(*upgraded->model, mode);
-  ExportModelBytes(*upgraded);
   std::lock_guard<std::mutex> lock(mu_);
   if (current_ == served) current_ = std::move(upgraded);
 }
 
-Status ModelPool::LoadWithRetry(const std::string& checkpoint_path,
-                                const CheckpointReadRequest& request) {
+Status ModelPool::Load(std::string source, const ReadFn& read) {
+  MGBR_CHECK(factory_ != nullptr);
+  std::unique_ptr<RecModel> model = factory_();
+  MGBR_CHECK(model != nullptr);
+  fault::DelayPoint("pool.load");
+  std::vector<Var> params = model->Parameters();
+  CheckpointReadRequest request;
+  request.params = &params;
   LoadRetryPolicy policy;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -350,11 +298,10 @@ Status ModelPool::LoadWithRetry(const std::string& checkpoint_path,
   for (int attempt = 0; attempt <= policy.max_retries; ++attempt) {
     if (attempt > 0) {
       // Exponential backoff with deterministic seeded jitter: the
-      // schedule of a given (seed, path, attempt) never varies run to
+      // schedule of a given (seed, source, attempt) never varies run to
       // run, so fault-injection tests stay reproducible.
       const int64_t base = policy.backoff_ms << (attempt - 1);
-      Rng rng(policy.jitter_seed ^
-              std::hash<std::string>{}(checkpoint_path) ^
+      Rng rng(policy.jitter_seed ^ std::hash<std::string>{}(source) ^
               static_cast<uint64_t>(attempt));
       const int64_t jitter =
           base > 0 ? static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(base))) : 0;
@@ -362,102 +309,56 @@ Status ModelPool::LoadWithRetry(const std::string& checkpoint_path,
           std::chrono::milliseconds(base + jitter));
       {
         std::lock_guard<std::mutex> lock(mu_);
-        ++load_retries_;
+        ++stats_.load_retries;
       }
-      MGBR_COUNTER_ADD(LoadRetriesCounter(), 1);
-      MGBR_LOG_WARNING("pool: retrying load of '", checkpoint_path,
-                       "' (attempt ", attempt + 1, "/",
-                       policy.max_retries + 1, ") after: ",
-                       status.message());
+      MGBR_LOG_WARNING("pool: retrying load of '", source, "' (attempt ",
+                       attempt + 1, "/", policy.max_retries + 1,
+                       ") after: ", status.message());
     }
-    status = LoadCheckpoint(checkpoint_path, request);
+    status = read(request, &source);
     // Retry only transient IO errors; corruption (kDataLoss-class
     // failures surface as other codes) fails fast — the bytes on disk
     // will not get better.
-    if (status.ok() || status.code() != StatusCode::kIoError) return status;
+    if (status.ok() || status.code() != StatusCode::kIoError) break;
   }
-  return status;
-}
-
-Status ModelPool::LoadInto(RecModel* model,
-                           const std::string& checkpoint_path) {
-  fault::DelayPoint("pool.load");
-  std::vector<Var> params = model->Parameters();
-  CheckpointReadRequest request;
-  request.params = &params;
-  Status status = LoadWithRetry(checkpoint_path, request);
-  if (!status.ok()) return status;
-  RefreshForServing(model);
-  return Status::OK();
-}
-
-Status ModelPool::LoadVersion(const std::string& checkpoint_path) {
-  MGBR_CHECK(factory_ != nullptr);
-  std::unique_ptr<RecModel> model = factory_();
-  MGBR_CHECK(model != nullptr);
-  Status status = LoadInto(model.get(), checkpoint_path);
   if (!status.ok()) {
     // A failed load is a rejected swap: count and event-log it so the
     // serving audit trail shows the candidate that never published.
     {
       std::lock_guard<std::mutex> lock(mu_);
-      ++rejected_;
+      ++stats_.swap_rejected;
     }
-    MGBR_COUNTER_ADD(RejectedCounter(), 1);
-    RecordEvent(SwapEvent{SwapEvent::Kind::kReject, 0, checkpoint_path,
-                          status.ToString()});
+    RecordEvent(
+        SwapEvent{SwapEvent::Kind::kReject, 0, source, status.ToString()});
     return status;
   }
-  if (Install(std::move(model), checkpoint_path) == 0) {
-    return Status::FailedPrecondition("validation rejected '" +
-                                      checkpoint_path + "'");
+  RefreshForServing(model.get());
+  if (Install(std::move(model), source) == 0) {
+    return Status::FailedPrecondition("validation rejected '" + source + "'");
   }
   return Status::OK();
 }
 
+Status ModelPool::LoadVersion(const std::string& checkpoint_path) {
+  return Load(checkpoint_path,
+              [&checkpoint_path](const CheckpointReadRequest& request,
+                                 std::string*) {
+                return LoadCheckpoint(checkpoint_path, request);
+              });
+}
+
 Status ModelPool::LoadLatest(CheckpointManager* manager) {
-  MGBR_CHECK(factory_ != nullptr);
   MGBR_CHECK(manager != nullptr);
-  std::unique_ptr<RecModel> model = factory_();
-  MGBR_CHECK(model != nullptr);
-  fault::DelayPoint("pool.load");
-  std::vector<Var> params = model->Parameters();
-  CheckpointReadRequest request;
-  request.params = &params;
-  LoadRetryPolicy policy;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    policy = retry_policy_;
-  }
-  int64_t epoch = 0;
-  Status status;
-  // Same bounded kIoError retry as LoadWithRetry, around the whole
-  // newest-first restore (RestoreLatest's own fallback handles
-  // permanent corruption; the retry handles a transiently flaky read
-  // of an otherwise-good file).
-  for (int attempt = 0; attempt <= policy.max_retries; ++attempt) {
-    if (attempt > 0) {
-      const int64_t base = policy.backoff_ms << (attempt - 1);
-      Rng rng(policy.jitter_seed ^ static_cast<uint64_t>(attempt));
-      const int64_t jitter =
-          base > 0 ? static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(base))) : 0;
-      std::this_thread::sleep_for(std::chrono::milliseconds(base + jitter));
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++load_retries_;
-      }
-      MGBR_COUNTER_ADD(LoadRetriesCounter(), 1);
-    }
-    status = manager->RestoreLatest(request, &epoch);
-    if (status.ok() || status.code() != StatusCode::kIoError) break;
-  }
-  if (!status.ok()) return status;
-  RefreshForServing(model.get());
-  if (Install(std::move(model), manager->PathFor(epoch)) == 0) {
-    return Status::FailedPrecondition("validation rejected '" +
-                                      manager->PathFor(epoch) + "'");
-  }
-  return Status::OK();
+  // The retry wraps the whole newest-first restore: RestoreLatest's own
+  // fall-back handles permanent corruption, the retry a transiently
+  // flaky read of an otherwise-good file.
+  return Load(manager->dir(), [manager](const CheckpointReadRequest& request,
+                                        std::string* source) {
+    int64_t epoch = 0;
+    const Status status = manager->RestoreLatest(request, &epoch);
+    if (status.ok()) *source = manager->PathFor(epoch);
+    return status;
+  });
 }
 
 std::shared_ptr<ModelPool::Version> ModelPool::Acquire() const {
@@ -470,24 +371,9 @@ int64_t ModelPool::current_id() const {
   return current_ == nullptr ? 0 : current_->id;
 }
 
-int64_t ModelPool::swap_count() const {
+PoolStats ModelPool::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return swaps_;
-}
-
-int64_t ModelPool::rejected_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return rejected_;
-}
-
-int64_t ModelPool::rollback_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return rollbacks_;
-}
-
-int64_t ModelPool::load_retries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return load_retries_;
+  return stats_;
 }
 
 std::vector<ModelPool::SwapEvent> ModelPool::SwapEvents() const {

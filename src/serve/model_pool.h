@@ -13,6 +13,7 @@
 #include "models/quant_view.h"
 #include "models/rec_model.h"
 #include "retrieval/two_stage.h"
+#include "serve/types.h"
 #include "train/checkpoint.h"
 
 namespace mgbr::serve {
@@ -51,6 +52,26 @@ struct LoadRetryPolicy {
   int max_retries = 2;
   int64_t backoff_ms = 5;
   uint64_t jitter_seed = 0x10adbeef;
+};
+
+/// The pool's swap accounting (ModelPool::stats()), rendered next to
+/// ServerStats in /metrics, /varz and the load generator's reports.
+struct PoolStats {
+  /// Successful Install/LoadVersion/LoadLatest swaps.
+  int64_t swap_count = 0;
+  /// Candidates rejected by the validation gate or a failed load.
+  int64_t swap_rejected = 0;
+  /// Successful Rollback() calls.
+  int64_t rollbacks = 0;
+  /// Transient-read retry attempts consumed by LoadVersion/LoadLatest.
+  int64_t load_retries = 0;
+};
+
+inline constexpr StatsField<PoolStats> kPoolStatsFields[] = {
+    {"swap_count", &PoolStats::swap_count},
+    {"swap_rejected", &PoolStats::swap_rejected},
+    {"rollbacks", &PoolStats::rollbacks},
+    {"load_retries", &PoolStats::load_retries},
 };
 
 /// Double-buffered model versions for zero-downtime refresh.
@@ -121,6 +142,9 @@ class ModelPool {
 
   /// LoadVersion from the newest checkpoint in `manager` that fully
   /// verifies (CheckpointManager::RestoreLatest fall-back semantics).
+  /// Shares LoadVersion's retry and failure path: a failed restore is
+  /// a rejected swap, counted and event-logged with the manager's
+  /// directory as its source.
   Status LoadLatest(CheckpointManager* manager);
 
   /// Re-publishes the last-known-good version (the one displaced by
@@ -172,17 +196,12 @@ class ModelPool {
   /// Id of the served version (0 when empty).
   int64_t current_id() const;
 
-  /// Number of successful Install/LoadVersion swaps so far.
-  int64_t swap_count() const;
-
-  /// Candidates rejected by the validation gate or a failed load.
-  int64_t rejected_count() const;
-
-  /// Successful Rollback() calls.
-  int64_t rollback_count() const;
-
-  /// Transient-read retry attempts consumed by LoadVersion/LoadLatest.
-  int64_t load_retries() const;
+  /// Snapshot of the swap accounting (one lock).
+  PoolStats stats() const;
+  int64_t swap_count() const { return stats().swap_count; }
+  int64_t rejected_count() const { return stats().swap_rejected; }
+  int64_t rollback_count() const { return stats().rollbacks; }
+  int64_t load_retries() const { return stats().load_retries; }
 
   /// Copy of the bounded swap audit log, oldest first.
   std::vector<SwapEvent> SwapEvents() const;
@@ -191,18 +210,22 @@ class ModelPool {
   /// quantized payload when a QuantizedEmbeddingView is attached, else
   /// the fp32 bytes of the model's exposed retrieval views (0 for
   /// models with no view — their working set is not a fixed table).
-  /// Exported as the serve.model_bytes gauge on every publish and
-  /// surfaced in the server's /varz payload.
+  /// Read when the server renders /varz and its serve.model_bytes
+  /// gauge.
   static int64_t ServedTableBytes(const Version& version);
 
  private:
   /// Per-probe top-k id lists forming a version's canary signature.
   using ProbeSignature = std::vector<std::vector<int64_t>>;
 
-  Status LoadInto(RecModel* model, const std::string& checkpoint_path);
-  /// LoadCheckpoint with the bounded kIoError retry loop.
-  Status LoadWithRetry(const std::string& checkpoint_path,
-                       const CheckpointReadRequest& request);
+  /// The one load path behind LoadVersion and LoadLatest: a fresh
+  /// factory model, `read` into its parameters under the bounded
+  /// kIoError retry policy, a tape-free Refresh, then Install. `read`
+  /// may narrow `*source` to the file it actually restored. A failed
+  /// read is counted and event-logged as a rejected swap.
+  using ReadFn =
+      std::function<Status(const CheckpointReadRequest&, std::string*)>;
+  Status Load(std::string source, const ReadFn& read);
   /// Canary-scores the probe set; fills `*signature` and fails on any
   /// non-finite score or reference disagreement.
   Status ValidateCandidate(RecModel* model, const ValidationConfig& config,
@@ -220,8 +243,6 @@ class ModelPool {
   /// when off/unsupported). Called outside mu_.
   std::shared_ptr<const QuantizedEmbeddingView> BuildQuant(
       const RecModel& model) const;
-  /// Publishes the serve.model_bytes gauge for the served version.
-  void ExportModelBytes(const Version& version) const;
 
   Factory factory_;
   mutable std::mutex mu_;
@@ -230,10 +251,7 @@ class ModelPool {
   /// Install, retained as the Rollback() target.
   std::shared_ptr<Version> previous_;
   int64_t next_id_ = 1;
-  int64_t swaps_ = 0;
-  int64_t rejected_ = 0;
-  int64_t rollbacks_ = 0;
-  int64_t load_retries_ = 0;
+  PoolStats stats_;
   bool retrieval_enabled_ = false;
   retrieval::TwoStageConfig retrieval_config_;
   QuantMode quant_mode_ = QuantMode::kFp32;

@@ -18,49 +18,6 @@ namespace mgbr::serve {
 namespace {
 
 #if MGBR_TELEMETRY
-Counter* RequestsCounter() {
-  static Counter* c = MetricsRegistry::Global().GetCounter("serve.requests");
-  return c;
-}
-Counter* AdmittedCounter() {
-  static Counter* c = MetricsRegistry::Global().GetCounter("serve.admitted");
-  return c;
-}
-Counter* ShedQueueFullCounter() {
-  static Counter* c =
-      MetricsRegistry::Global().GetCounter("serve.shed_queue_full");
-  return c;
-}
-Counter* ShedDeadlineCounter() {
-  static Counter* c =
-      MetricsRegistry::Global().GetCounter("serve.shed_deadline");
-  return c;
-}
-Counter* ShedLoadCounter() {
-  static Counter* c = MetricsRegistry::Global().GetCounter("serve.shed_load");
-  return c;
-}
-Counter* CompletedCounter() {
-  static Counter* c = MetricsRegistry::Global().GetCounter("serve.completed");
-  return c;
-}
-Counter* CacheHitCounter() {
-  static Counter* c = MetricsRegistry::Global().GetCounter("serve.cache_hits");
-  return c;
-}
-Counter* BatchesCounter() {
-  static Counter* c = MetricsRegistry::Global().GetCounter("serve.batches");
-  return c;
-}
-Counter* WorkerRestartsCounter() {
-  static Counter* c =
-      MetricsRegistry::Global().GetCounter("serve.worker_restarts");
-  return c;
-}
-Gauge* QueueDepthGauge() {
-  static Gauge* g = MetricsRegistry::Global().GetGauge("serve.queue_depth");
-  return g;
-}
 /// Batch sizes: 1 * 2^k buckets up to 2048 requests.
 Histogram* BatchSizeHistogram() {
   static Histogram* h =
@@ -105,51 +62,24 @@ Histogram* ScoreMissHistogram() {
 }
 #endif  // MGBR_TELEMETRY
 
-/// Copies a (B x 1) score column into the double vector top-K selection
-/// consumes; float -> double widening is exact (same contract as the
-/// eval adapters in rec_model.cc).
-std::vector<double> ColumnToDoubles(const Var& column) {
-  std::vector<double> out(static_cast<size_t>(column.rows()));
-  for (int64_t r = 0; r < column.rows(); ++r) {
-    out[static_cast<size_t>(r)] = column.value().at(r, 0);
+template <typename Stats, size_t N>
+void AppendFieldsJson(const Stats& stats, const StatsField<Stats> (&fields)[N],
+                      std::string* out) {
+  for (size_t i = 0; i < N; ++i) {
+    if (i > 0) *out += ',';
+    internal::AppendJsonString(fields[i].name, out);
+    *out += ':';
+    *out += std::to_string(stats.*fields[i].member);
   }
-  return out;
 }
 
-/// Minimal JSON string escaping for the hand-built /varz payload
-/// (swap-event sources/details carry file paths and status messages).
-std::string JsonEscape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (char c : in) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(c >> 4) & 0xF];
-          out += kHex[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
+template <typename Stats, size_t N>
+void AppendCounters(const Stats& stats, const StatsField<Stats> (&fields)[N],
+                    MetricsSnapshot* snapshot) {
+  for (const StatsField<Stats>& field : fields) {
+    snapshot->counters.emplace_back(std::string("serve.") + field.name,
+                                    stats.*field.member);
   }
-  return out;
 }
 
 const char* SwapEventKindName(ModelPool::SwapEvent::Kind kind) {
@@ -291,6 +221,7 @@ Server::Server(ModelPool* pool, ServerConfig config)
       exporter->set_healthz_handler([this] { return HealthzJson(); });
       exporter->set_varz_handler(
           [this](bool flight) { return VarzJson(flight); });
+      exporter->set_metrics_handler([this] { return Metrics(); });
     };
     exporter_ = std::make_unique<obs::Exporter>(exporter_config);
     wire(exporter_.get());
@@ -392,7 +323,6 @@ std::future<Response> Server::Submit(const Request& request) {
   const int64_t id = next_request_id_.fetch_add(1, std::memory_order_relaxed) +
                      1;  // ids start at 1; 0 = "never assigned"
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  MGBR_COUNTER_ADD(RequestsCounter(), 1);
   const int dl = degrade_level();
 
   Response shed;
@@ -408,7 +338,6 @@ std::future<Response> Server::Submit(const Request& request) {
     const int64_t keep = degrade_->config().shed_keep_one_in;
     if (keep <= 1 || id % keep != 0) {
       shed_load_.fetch_add(1, std::memory_order_relaxed);
-      MGBR_COUNTER_ADD(ShedLoadCounter(), 1);
       shed.code = ResponseCode::kShedLoad;
       FinishUnadmitted(request, now, std::move(promise), std::move(shed));
       return future;
@@ -416,7 +345,6 @@ std::future<Response> Server::Submit(const Request& request) {
   }
   if (request.deadline_us > 0 && now >= request.deadline_us) {
     shed_deadline_.fetch_add(1, std::memory_order_relaxed);
-    MGBR_COUNTER_ADD(ShedDeadlineCounter(), 1);
     shed.code = ResponseCode::kShedDeadline;
     FinishUnadmitted(request, now, std::move(promise), std::move(shed));
     return future;
@@ -430,7 +358,6 @@ std::future<Response> Server::Submit(const Request& request) {
     }
     if (static_cast<int64_t>(queue_.size()) >= config_.queue_capacity) {
       shed_queue_full_.fetch_add(1, std::memory_order_relaxed);
-      MGBR_COUNTER_ADD(ShedQueueFullCounter(), 1);
       shed.code = ResponseCode::kShedQueueFull;
       FinishUnadmitted(request, now, std::move(promise), std::move(shed));
       return future;
@@ -451,8 +378,6 @@ std::future<Response> Server::Submit(const Request& request) {
     pending.enqueue_us = now;
     queue_.push_back(std::move(pending));
     admitted_.fetch_add(1, std::memory_order_relaxed);
-    MGBR_COUNTER_ADD(AdmittedCounter(), 1);
-    MGBR_GAUGE_SET(QueueDepthGauge(), static_cast<double>(queue_.size()));
   }
   cv_nonempty_.notify_one();
   return future;
@@ -500,7 +425,6 @@ void Server::WorkerLoop(std::shared_ptr<WorkerSlot> slot) {
         batch.push_back(std::move(queue_.front()));
         queue_.pop_front();
       }
-      MGBR_GAUGE_SET(QueueDepthGauge(), static_cast<double>(queue_.size()));
     }
     slot->heartbeat_us.store(trace::NowMicros(), std::memory_order_relaxed);
     slot->busy.store(true, std::memory_order_relaxed);
@@ -542,7 +466,6 @@ void Server::WatchdogLoop() {
         worker_slots_[i] = fresh;
         workers_[i] = std::thread([this, fresh] { WorkerLoop(fresh); });
         worker_restarts_.fetch_add(1, std::memory_order_relaxed);
-        MGBR_COUNTER_ADD(WorkerRestartsCounter(), 1);
         MGBR_LOG_WARNING("serve: watchdog replaced stalled worker ", i,
                          " (no heartbeat for ", (now - beat) / 1000, "ms)");
       }
@@ -558,7 +481,6 @@ void Server::Finish(Pending* pending, Response response) {
   response.done_us = trace::NowMicros();
   if (response.code == ResponseCode::kOk) {
     completed_.fetch_add(1, std::memory_order_relaxed);
-    MGBR_COUNTER_ADD(CompletedCounter(), 1);
     if (pending->request.deadline_us > 0 &&
         response.done_us > pending->request.deadline_us) {
       late_completions_.fetch_add(1, std::memory_order_relaxed);
@@ -675,7 +597,6 @@ void Server::CacheInsert(const CacheKey& key, int64_t version,
 void Server::ExecuteBatch(Batch batch, WorkerSlot* slot) {
   MGBR_TRACE_SPAN("serve.batch", "serve");
   n_batches_.fetch_add(1, std::memory_order_relaxed);
-  MGBR_COUNTER_ADD(BatchesCounter(), 1);
   MGBR_HISTOGRAM_OBSERVE(BatchSizeHistogram(),
                          static_cast<double>(batch.size()));
   // Everything from here on is the score stage.
@@ -726,7 +647,6 @@ void Server::ExecuteBatch(Batch batch, WorkerSlot* slot) {
     const int64_t now = trace::NowMicros();
     if (req.deadline_us > 0 && now >= req.deadline_us) {
       shed_deadline_.fetch_add(1, std::memory_order_relaxed);
-      MGBR_COUNTER_ADD(ShedDeadlineCounter(), 1);
       Response response;
       response.code = ResponseCode::kShedDeadline;
       response.degrade_level = dl;
@@ -792,7 +712,7 @@ void Server::ExecuteBatch(Batch batch, WorkerSlot* slot) {
           const std::vector<int64_t> users(cands.size(), key.user);
           const Var column = model->ScoreA(users, cands);
           value.scores = std::make_shared<const std::vector<double>>(
-              ColumnToDoubles(column));
+              RecModel::ColumnToDoubles(column));
         }
         value.ids = std::make_shared<const std::vector<int64_t>>(
             std::move(cands));
@@ -808,7 +728,7 @@ void Server::ExecuteBatch(Batch batch, WorkerSlot* slot) {
         const Var column = task_a ? model->ScoreAAll(key.user)
                                   : model->ScoreBAll(key.user, key.item);
         value.scores = std::make_shared<const std::vector<double>>(
-            ColumnToDoubles(column));
+            RecModel::ColumnToDoubles(column));
       }
       unique_scored_.fetch_add(1, std::memory_order_relaxed);
       CacheInsert(key, snapshot->id, value);
@@ -817,8 +737,6 @@ void Server::ExecuteBatch(Batch batch, WorkerSlot* slot) {
     if (hit) {
       cache_hits_.fetch_add(static_cast<int64_t>(members.size()),
                             std::memory_order_relaxed);
-      MGBR_COUNTER_ADD(CacheHitCounter(),
-                       static_cast<int64_t>(members.size()));
     } else if (members.size() > 1) {
       coalesced_.fetch_add(static_cast<int64_t>(members.size()) - 1,
                            std::memory_order_relaxed);
@@ -914,49 +832,14 @@ std::string Server::HealthzJson() const {
 }
 
 std::string Server::VarzJson(bool include_flight) const {
-  const ServerStats s = stats();
   std::string out = "{\"state\":\"";
   out += StateName(state());
   out += "\",\"model_version\":";
   out += std::to_string(pool_->current_id());
-  out += ",\"server\":{\"submitted\":";
-  out += std::to_string(s.submitted);
-  out += ",\"admitted\":";
-  out += std::to_string(s.admitted);
-  out += ",\"shed_queue_full\":";
-  out += std::to_string(s.shed_queue_full);
-  out += ",\"shed_deadline\":";
-  out += std::to_string(s.shed_deadline);
-  out += ",\"shed_load\":";
-  out += std::to_string(s.shed_load);
-  out += ",\"completed\":";
-  out += std::to_string(s.completed);
-  out += ",\"invalid\":";
-  out += std::to_string(s.invalid);
-  out += ",\"late_completions\":";
-  out += std::to_string(s.late_completions);
-  out += ",\"batches\":";
-  out += std::to_string(s.batches);
-  out += ",\"unique_scored\":";
-  out += std::to_string(s.unique_scored);
-  out += ",\"coalesced\":";
-  out += std::to_string(s.coalesced);
-  out += ",\"cache_hits\":";
-  out += std::to_string(s.cache_hits);
-  out += ",\"two_stage\":";
-  out += std::to_string(s.two_stage);
-  out += ",\"quant_scored\":";
-  out += std::to_string(s.quant_scored);
-  out += ",\"worker_restarts\":";
-  out += std::to_string(s.worker_restarts);
-  out += "},\"swap\":{\"swap_count\":";
-  out += std::to_string(pool_->swap_count());
-  out += ",\"swap_rejected\":";
-  out += std::to_string(pool_->rejected_count());
-  out += ",\"rollbacks\":";
-  out += std::to_string(pool_->rollback_count());
-  out += ",\"load_retries\":";
-  out += std::to_string(pool_->load_retries());
+  out += ",\"server\":{";
+  AppendStatsJson(stats(), &out);
+  out += "},\"swap\":{";
+  AppendStatsJson(pool_->stats(), &out);
   out += ",\"events\":[";
   {
     const std::vector<ModelPool::SwapEvent> events = pool_->SwapEvents();
@@ -966,11 +849,11 @@ std::string Server::VarzJson(bool include_flight) const {
       out += SwapEventKindName(events[i].kind);
       out += "\",\"version\":";
       out += std::to_string(events[i].version_id);
-      out += ",\"source\":\"";
-      out += JsonEscape(events[i].source);
-      out += "\",\"detail\":\"";
-      out += JsonEscape(events[i].detail);
-      out += "\"}";
+      out += ",\"source\":";
+      internal::AppendJsonString(events[i].source, &out);
+      out += ",\"detail\":";
+      internal::AppendJsonString(events[i].detail, &out);
+      out += '}';
     }
   }
   out += "]},\"degrade\":{\"enabled\":";
@@ -1003,6 +886,34 @@ std::string Server::VarzJson(bool include_flight) const {
   }
   out += '}';
   return out;
+}
+
+MetricsSnapshot Server::Metrics() const {
+  MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
+  AppendCounters(stats(), kServerStatsFields, &snapshot);
+  AppendCounters(pool_->stats(), kPoolStatsFields, &snapshot);
+  const std::shared_ptr<ModelPool::Version> v = pool_->Acquire();
+  snapshot.gauges.emplace_back("serve.queue_depth",
+                               static_cast<double>(queue_depth()));
+  snapshot.gauges.emplace_back("serve.model_version",
+                               static_cast<double>(v == nullptr ? 0 : v->id));
+  snapshot.gauges.emplace_back(
+      "serve.model_bytes",
+      static_cast<double>(v == nullptr ? 0 : ModelPool::ServedTableBytes(*v)));
+  snapshot.gauges.emplace_back("serve.degrade_level",
+                               static_cast<double>(degrade_level()));
+  snapshot.counters.emplace_back(
+      "serve.degrade_transitions",
+      degrade_ != nullptr ? degrade_->transitions() : 0);
+  return snapshot;
+}
+
+void AppendStatsJson(const ServerStats& stats, std::string* out) {
+  AppendFieldsJson(stats, kServerStatsFields, out);
+}
+
+void AppendStatsJson(const PoolStats& stats, std::string* out) {
+  AppendFieldsJson(stats, kPoolStatsFields, out);
 }
 
 }  // namespace mgbr::serve

@@ -14,6 +14,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/metrics.h"
 #include "obs/exporter.h"
 #include "obs/flight_recorder.h"
 #include "obs/slo.h"
@@ -24,6 +25,12 @@
 #include "tensor/quant.h"
 
 namespace mgbr::serve {
+
+/// Appends `"name":value` for every field of kServerStatsFields /
+/// kPoolStatsFields, comma-separated: the body of the `server` and
+/// `swap` objects in /varz and the load generator's reports.
+void AppendStatsJson(const ServerStats& stats, std::string* out);
+void AppendStatsJson(const PoolStats& stats, std::string* out);
 
 /// Opt-in serving observability (exporter, SLO monitor, flight
 /// recorder). Everything defaults off: a default-constructed server
@@ -183,6 +190,12 @@ class Server {
   /// /varz body: metrics snapshot + server stats + state; with
   /// `include_flight`, the flight-recorder dump too.
   std::string VarzJson(bool include_flight) const;
+  /// /metrics snapshot: the process registry (telemetry-gated
+  /// histograms included) plus this server's and its pool's counts as
+  /// `serve.<name>` counters, the gauges serve.queue_depth,
+  /// serve.model_version, serve.model_bytes and serve.degrade_level,
+  /// and the serve.degrade_transitions counter, all read now.
+  MetricsSnapshot Metrics() const;
 
   /// Flight-recorder auto-dumps performed so far (tests/monitoring).
   int64_t flight_dumps() const {

@@ -68,8 +68,9 @@ struct Response {
 
 /// Always-on functional accounting, independent of the telemetry
 /// switches: the admission/shed contract is part of the server's API,
-/// not an observability extra. Mirrored into the metrics registry
-/// (serve.* counters/histograms) when telemetry is enabled.
+/// not an observability extra. These atomics are the only count of each
+/// number; /metrics (`serve.<name>` counters), /varz and the load
+/// generator's reports all render them through kServerStatsFields.
 struct ServerStats {
   int64_t submitted = 0;
   int64_t admitted = 0;
@@ -101,6 +102,34 @@ struct ServerStats {
   int64_t shed_load = 0;
   /// Stalled workers replaced by the watchdog.
   int64_t worker_restarts = 0;
+};
+
+/// One named count of a stats struct. Every view of the counts loops
+/// over a list of these, so each count is named exactly once: the name
+/// is the JSON key in /varz and the load generator's reports, and
+/// `serve.<name>` is the /metrics series.
+template <typename Stats>
+struct StatsField {
+  const char* name;
+  int64_t Stats::*member;
+};
+
+inline constexpr StatsField<ServerStats> kServerStatsFields[] = {
+    {"submitted", &ServerStats::submitted},
+    {"admitted", &ServerStats::admitted},
+    {"shed_queue_full", &ServerStats::shed_queue_full},
+    {"shed_deadline", &ServerStats::shed_deadline},
+    {"completed", &ServerStats::completed},
+    {"invalid", &ServerStats::invalid},
+    {"late_completions", &ServerStats::late_completions},
+    {"batches", &ServerStats::batches},
+    {"unique_scored", &ServerStats::unique_scored},
+    {"coalesced", &ServerStats::coalesced},
+    {"cache_hits", &ServerStats::cache_hits},
+    {"two_stage", &ServerStats::two_stage},
+    {"quant_scored", &ServerStats::quant_scored},
+    {"shed_load", &ServerStats::shed_load},
+    {"worker_restarts", &ServerStats::worker_restarts},
 };
 
 }  // namespace mgbr::serve

@@ -10,9 +10,10 @@
 // Both kernel variants are instantiated from one implementation file so
 // their loop bodies can never drift apart (the bitwise-equality tests
 // in tests/kernels_test.cc compare them directly). This translation
-// unit is compiled with -fopenmp-simd (honor the pragmas) and
-// -ffp-contract=off (no silent FMA divergence between the variants);
-// see src/tensor/CMakeLists.txt.
+// unit is compiled with -fopenmp-simd (honor the pragmas; see
+// src/tensor/CMakeLists.txt) and, like all of src/, -ffp-contract=off
+// (no silent FMA divergence between the variants; see
+// src/CMakeLists.txt).
 
 #define MGBR_KERNELS_NS simd
 #define MGBR_KERNELS_USE_SIMD 1

@@ -25,9 +25,9 @@ namespace kernels {
 ///    the dot-product models' recorded scores and trained weights
 ///    depend on that order (tests/models_test.cc pins them). It is not
 ///    vectorized either.
-///  * The kernel translation unit is compiled with -ffp-contract=off
-///    so neither variant silently fuses a*b+c into an FMA the other
-///    does not.
+///  * Every translation unit under src/, this one included, is compiled
+///    with -ffp-contract=off, so neither variant silently fuses a*b+c
+///    into an FMA the other does not.
 /// Together these make simd-on and simd-off outputs bit-identical,
 /// which tests/kernels_test.cc asserts.
 

@@ -203,24 +203,13 @@ TEST(DotModelPinTest, TrainedBitsMatchRecordedChecksums) {
   // feeds two gathers of one table into one RowDot, where the order
   // the two gradients reach that table matters.
   //
-  // Ops outside the kernel translation unit may be contracted into
-  // FMAs when the target has them, so the trained bits depend on that
-  // one property of the build; each branch holds one recording.
+  // src/ is compiled with -ffp-contract=off, so no build (native,
+  // portable or Debug) fuses a*b+c into an FMA and one recording holds
+  // for all of them.
   struct Pinned {
     const char* name;
     uint32_t params, score_a_all, score_b_all;
   };
-#if defined(__FMA__)
-  constexpr Pinned kPinned[] = {
-      {"GBMF", 0x374A6F16u, 0xF0E9E7F4u, 0x168C0695u},
-      {"DeepMF", 0x05C530ACu, 0x28CB1099u, 0x1E425952u},
-      {"DiffNet", 0xCF2FA661u, 0xE62209C6u, 0xE50A2024u},
-      {"EATNN", 0x1169B7E4u, 0xBC001262u, 0xEE5F63B4u},
-      {"LightGCN", 0x3312EB08u, 0xB517DD85u, 0x8E83355Au},
-      {"NGCF", 0x93309681u, 0xDF616956u, 0x583F4D2Cu},
-      {"GBGCN", 0xFA2AE270u, 0xE2B44916u, 0x3EE629A8u},
-  };
-#else
   constexpr Pinned kPinned[] = {
       {"GBMF", 0xDD5B1500u, 0x558952EAu, 0x83DCDF55u},
       {"DeepMF", 0xC0FF2B78u, 0x9745B9B4u, 0x5BE7E9D6u},
@@ -230,7 +219,6 @@ TEST(DotModelPinTest, TrainedBitsMatchRecordedChecksums) {
       {"NGCF", 0x34CBEB5Eu, 0x25F1AA98u, 0x6A8C1E65u},
       {"GBGCN", 0x80AEE99Du, 0x9A46AD7Bu, 0x0A0D56CCu},
   };
-#endif
   const GroupBuyingDataset dataset = TinyDataset(16, 8, 60, 27);
   const GraphInputs graphs = BuildGraphInputs(dataset);
   InteractionIndex index(dataset);

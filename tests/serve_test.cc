@@ -27,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include "common/fault.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/trace.h"
 #include "core/mgbr.h"
@@ -121,6 +122,22 @@ class ServeTestBase : public ::testing::Test {
     return future;
   }
 
+  /// Flips one bit mid-file: the checkpoint's per-section CRC32
+  /// catches it.
+  static void FlipByteMidFile(const std::string& path) {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    f.seekg(0, std::ios::end);
+    const std::streamoff size = f.tellg();
+    ASSERT_GT(size, 0);
+    f.seekg(size / 2);
+    char byte = 0;
+    f.read(&byte, 1);
+    byte ^= 0x10;
+    f.seekp(size / 2);
+    f.write(&byte, 1);
+  }
+
   void TearDown() override { fault::Clear(); }
 
   GroupBuyingDataset dataset_;
@@ -152,11 +169,9 @@ class ServeRetrievalTest : public ServeTestBase {
     };
   }
 };
-// Observability wiring (exporter / healthz / flight recorder). Kept in
-// its own fixture: these tests drive SloMonitor::Evaluate directly
-// after stopping the ticker, which the TSan job's suite regex need not
-// cover (the lock-free recording paths are TSan-covered through
-// ServeServerTest traffic).
+// Observability wiring (exporter / healthz / flight recorder). Runs
+// under TSan in CI: the exporter thread reads the counts while the
+// workers write them.
 class ServeObsTest : public ServeTestBase {};
 
 TEST_F(ModelPoolTest, InstallAssignsMonotonicIdsAndPinsSnapshots) {
@@ -243,6 +258,30 @@ TEST_F(ModelPoolTest, LoadLatestUsesNewestVerifyingCheckpoint) {
   EXPECT_EQ(std::memcmp(got.data(), want.data(),
                         sizeof(float) * static_cast<size_t>(want.numel())),
             0);
+}
+
+TEST_F(ModelPoolTest, FailedLoadLatestIsCountedAndEventLogged) {
+  const ScopedTempDir temp("serve_latest_corrupt");
+  CheckpointManager manager(temp.File("latest"));
+  std::unique_ptr<MgbrModel> source = MakeModel(2);
+  std::vector<Var> params = source->Parameters();
+  CheckpointWriteRequest write;
+  write.params = &params;
+  ASSERT_TRUE(manager.Save(write, 1).ok());
+  FlipByteMidFile(manager.PathFor(1));
+
+  ModelPool pool(Factory(3));
+  pool.Install(MakeModel(1), "seed");
+  // The only checkpoint is corrupt, so the restore fails; like a failed
+  // LoadVersion, that is a rejected swap on the audit trail.
+  EXPECT_FALSE(pool.LoadLatest(&manager).ok());
+  EXPECT_EQ(pool.current_id(), 1);
+  EXPECT_EQ(pool.rejected_count(), 1);
+  const std::vector<ModelPool::SwapEvent> events = pool.SwapEvents();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[1].kind, ModelPool::SwapEvent::Kind::kReject);
+  EXPECT_EQ(events[1].source, manager.dir());
+  EXPECT_FALSE(events[1].detail.empty());
 }
 
 TEST_F(ModelPoolTest, LoadedVersionsRefreshWithoutATape) {
@@ -1008,12 +1047,39 @@ TEST_F(ServeObsTest, ExporterServesScrapesWhileServing) {
   r.task = TaskKind::kTopKItems;
   r.user = 2;
   EXPECT_EQ(server.Submit(r).get().code, ResponseCode::kOk);
+  Request bad = r;
+  bad.user = graphs_.n_users;  // outside the served catalogue
+  EXPECT_EQ(server.Submit(bad).get().code, ResponseCode::kInvalidArgument);
 
   const std::string healthz = HttpGet(server.metrics_port(), "/healthz");
   EXPECT_NE(healthz.find("HTTP/1.1 200 OK"), std::string::npos);
   EXPECT_NE(healthz.find("\"status\":\"running\""), std::string::npos);
   const std::string metrics = HttpGet(server.metrics_port(), "/metrics");
   EXPECT_NE(metrics.find("text/plain; version=0.0.4"), std::string::npos);
+  // Telemetry is off, yet every count scrapes, equal to the server's
+  // and the pool's own accounting, plus the three gauges read now.
+  const auto sample = [](const std::string& name, int64_t value) {
+    return "\nserve_" + name + " " + std::to_string(value) + "\n";
+  };
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.completed, 1);
+  EXPECT_EQ(stats.invalid, 1);
+  for (const auto& field : serve::kServerStatsFields) {
+    EXPECT_NE(metrics.find(sample(field.name, stats.*field.member)),
+              std::string::npos)
+        << field.name << "\n"
+        << metrics;
+  }
+  const serve::PoolStats pool_stats = pool.stats();
+  for (const auto& field : serve::kPoolStatsFields) {
+    EXPECT_NE(metrics.find(sample(field.name, pool_stats.*field.member)),
+              std::string::npos)
+        << field.name;
+  }
+  EXPECT_NE(metrics.find(sample("queue_depth", 0)), std::string::npos);
+  EXPECT_NE(metrics.find(sample("model_version", 1)), std::string::npos);
+  EXPECT_NE(metrics.find(sample("model_bytes", 0)), std::string::npos);
+  EXPECT_NE(metrics.find(sample("degrade_level", 0)), std::string::npos);
   const std::string varz =
       HttpGet(server.metrics_port(), "/varz?flight=1");
   EXPECT_NE(varz.find("\"server\":"), std::string::npos);
@@ -1024,6 +1090,50 @@ TEST_F(ServeObsTest, ExporterServesScrapesWhileServing) {
   server.Stop();
   const std::string after = HttpGet(server.metrics_port(), "/healthz");
   EXPECT_NE(after.find("\"status\":\"stopped\""), std::string::npos);
+}
+
+TEST_F(ServeObsTest, EachExporterScrapesItsOwnServersCounts) {
+  // With telemetry on, the process registry is shared by both servers;
+  // their counts must not be.
+  struct TelemetryOn {
+    const bool was = TelemetryEnabled();
+    TelemetryOn() { SetTelemetryEnabled(true); }
+    ~TelemetryOn() { SetTelemetryEnabled(was); }
+  } telemetry_on;
+  ModelPool pool_a(Factory(3));
+  ModelPool pool_b(Factory(3));
+  pool_a.Install(MakeModel(1), "a");
+  pool_b.Install(MakeModel(2), "b");
+  ServerConfig config;
+  config.obs.metrics_port = 0;
+  Server server_a(&pool_a, config);
+  Server server_b(&pool_b, config);
+  ASSERT_GT(server_a.metrics_port(), 0);
+  ASSERT_GT(server_b.metrics_port(), 0);
+
+  Request r;
+  r.task = TaskKind::kTopKItems;
+  r.user = 1;
+  EXPECT_EQ(server_a.Submit(r).get().code, ResponseCode::kOk);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(server_b.Submit(r).get().code, ResponseCode::kOk);
+  }
+  EXPECT_NE(HttpGet(server_a.metrics_port(), "/metrics")
+                .find("\nserve_submitted 1\n"),
+            std::string::npos);
+  EXPECT_NE(HttpGet(server_b.metrics_port(), "/metrics")
+                .find("\nserve_submitted 3\n"),
+            std::string::npos);
+}
+
+TEST_F(ServeObsTest, VarzEscapesSwapEventSources) {
+  ModelPool pool(Factory(3));
+  pool.Install(MakeModel(1), "quote\" backslash\\ newline\n end");
+  Server server(&pool, ServerConfig{});
+  EXPECT_NE(server.VarzJson(false).find(
+                R"("source":"quote\" backslash\\ newline\n end")"),
+            std::string::npos)
+      << server.VarzJson(false);
 }
 
 TEST_F(ServeObsTest, ShedBurstTriggersFlightDump) {
@@ -1154,20 +1264,7 @@ TEST_F(ServeValidationTest, CorruptCheckpointBurnsRetriesThenRejects) {
   const ScopedTempDir temp("serve_crc");
   const std::string path = temp.File("crc.mgbr");
   ASSERT_TRUE(SaveParameters(source->Parameters(), path).ok());
-  {
-    // One flipped bit mid-file: the per-section CRC32 catches it.
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(f.good());
-    f.seekg(0, std::ios::end);
-    const std::streamoff size = f.tellg();
-    ASSERT_GT(size, 0);
-    f.seekg(size / 2);
-    char byte = 0;
-    f.read(&byte, 1);
-    byte ^= 0x10;
-    f.seekp(size / 2);
-    f.write(&byte, 1);
-  }
+  FlipByteMidFile(path);
 
   ModelPool pool(Factory(9));
   pool.Install(MakeModel(1), "seed");
