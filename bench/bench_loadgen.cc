@@ -70,8 +70,8 @@ struct LoadgenOptions {
   /// brute force (stats.two_stage stays 0); gbgcn exercises the ANN
   /// candidate path end to end through the batching router.
   std::string model = "mgbr";
-  /// Enables ServerConfig.retrieval (ANN candidates + exact re-rank)
-  /// for Task A requests. Off by default, like the server's own.
+  /// Enables PoolConfig.retrieval (ANN candidates + exact re-rank)
+  /// for Task A requests. Off by default, like the pool's own.
   bool retrieval = false;
   /// Quantized scoring mode: "off" (fp32 reference), "bf16" or "int8".
   /// Like retrieval, the quantized path needs a dot-product scoring
@@ -199,10 +199,8 @@ struct QuantReport {
   int64_t overlap_users = 0;
 };
 
-QuantReport MeasureQuant(ModelPool* pool, QuantMode mode, int64_t k,
-                         int64_t n_users) {
+QuantReport MeasureQuant(ModelPool* pool, int64_t k, int64_t n_users) {
   QuantReport rep;
-  if (mode == QuantMode::kFp32) return rep;
   const auto version = pool->Acquire();
   if (version == nullptr || version->quant == nullptr) return rep;
   const QuantizedEmbeddingView& view = *version->quant;
@@ -628,9 +626,7 @@ int RunChaos(const LoadgenOptions& opt) {
     m->Refresh();
     return std::unique_ptr<RecModel>(std::move(m));
   };
-  ModelPool pool(make_model);
-  pool.Install(make_model(), "chaos-seed");
-
+  serve::PoolConfig pool_config;
   ServerConfig config;
   config.n_workers = static_cast<int>(opt.workers);
   config.cache_capacity = 0;  // every request exercises the score path
@@ -639,11 +635,11 @@ int RunChaos(const LoadgenOptions& opt) {
     // independently seeded models legitimately disagree), brute-force
     // fp32 scoring so responses are bitwise comparable to direct
     // scoring, generous queue so nothing sheds.
+    pool_config.validation.enabled = true;
+    pool_config.validation.probe_users = 8;
+    pool_config.validation.probe_k = 10;
+    pool_config.validation.min_ref_overlap = 0.0;
     config.queue_capacity = 4096;
-    config.validation.enabled = true;
-    config.validation.probe_users = 8;
-    config.validation.probe_k = 10;
-    config.validation.min_ref_overlap = 0.0;
   } else if (opt.chaos == "worker-stall") {
     config.queue_capacity = 4096;
     config.watchdog.enabled = true;
@@ -669,6 +665,8 @@ int RunChaos(const LoadgenOptions& opt) {
     config.obs.slo_target_p99_ms = 1e9;
     config.obs.slo_max_shed_fraction = 0.05;
   }
+  ModelPool pool(make_model, pool_config);
+  pool.Install(make_model(), "chaos-seed");
 
   ChaosOutcome out;
   {
@@ -771,7 +769,10 @@ int Run(const LoadgenOptions& opt) {
     m->Refresh();
     return std::unique_ptr<RecModel>(std::move(m));
   };
-  ModelPool pool(make_model);
+  serve::PoolConfig pool_config;
+  pool_config.retrieval.enabled = opt.retrieval;
+  pool_config.quant = opt.quant;
+  ModelPool pool(make_model, pool_config);
   pool.Install(make_model(), "loadgen-seed");
 
   const KeySchedule schedule(opt.task, harness.n_users(), harness.n_items(),
@@ -785,8 +786,6 @@ int Run(const LoadgenOptions& opt) {
   config.cache_capacity =
       opt.cache >= 0 ? opt.cache
                      : static_cast<int64_t>(working_set.size()) * 2;
-  config.retrieval.enabled = opt.retrieval;
-  config.quant = opt.quant;
   config.obs.metrics_port = static_cast<int>(opt.metrics_port);
   config.obs.flight_capacity = opt.flight_capacity;
   config.obs.flight_dump_path = opt.flight_dump_out;
@@ -883,8 +882,7 @@ int Run(const LoadgenOptions& opt) {
   const double p99 = Percentile(latencies_ms, 0.99);
   const double lat_max = latencies_ms.empty() ? 0.0 : latencies_ms.back();
   const ServerStats stats = server.stats();
-  const QuantReport quant =
-      MeasureQuant(&pool, opt.quant, opt.k, harness.n_users());
+  const QuantReport quant = MeasureQuant(&pool, opt.k, harness.n_users());
 
   std::printf(
       "loadgen: offered %.0f qps for %.1fs (task=%s)\n"
@@ -940,10 +938,6 @@ int Run(const LoadgenOptions& opt) {
                       : 0.0);
     out += ",\"latency_ms\":{\"p50\":" + Num(p50) + ",\"p90\":" + Num(p90) +
            ",\"p99\":" + Num(p99) + ",\"max\":" + Num(lat_max) + "}";
-    out += ",\"batches\":" + std::to_string(stats.batches);
-    out += ",\"unique_scored\":" + std::to_string(stats.unique_scored);
-    out += ",\"coalesced\":" + std::to_string(stats.coalesced);
-    out += ",\"cache_hits\":" + std::to_string(stats.cache_hits);
     // The server's own lifetime accounting (cache fill included), the
     // ground truth the CI scrape-reconciliation checks /metrics against.
     out += "},\"server\":{";

@@ -26,7 +26,7 @@ std::string SanitizeMetricName(const std::string& name) {
       out.push_back('_');
     }
   }
-  if (out.empty()) out = "_";
+  if (out.empty()) out.push_back('_');
   return out;
 }
 

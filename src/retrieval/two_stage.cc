@@ -36,8 +36,12 @@ std::vector<int64_t> ItemRetriever::Candidates(const RecModel& model,
   const int64_t nprobe =
       nprobe_override > 0 ? std::max<int64_t>(1, nprobe_override)
                           : config_.nprobe;
+  // A cutoff of the catalogue size already asks for every item the
+  // probed lists hold; clamping first keeps the product from overflowing
+  // for any request k.
+  const int64_t cutoff = std::min(k, index_.n());
   std::vector<int64_t> ids =
-      index_.Search(query.data(), k * config_.overfetch, nprobe);
+      index_.Search(query.data(), cutoff * config_.overfetch, nprobe);
   std::sort(ids.begin(), ids.end());
   return ids;
 }

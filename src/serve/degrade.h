@@ -11,13 +11,14 @@ namespace mgbr::serve {
 /// Cost tiers of the serving degradation ladder, cheapest-response
 /// first. Each level keeps every cheaper level's measure active:
 ///
-///   0 kNormal        — configured scoring path (brute or two-stage).
-///   1 kTwoStage      — force ANN two-stage Task-A scoring even when
-///                      retrieval is off in the config (models without
-///                      a retrieval view keep brute force — the tier
-///                      is still recorded so the response stays
-///                      attributable).
-///   2 kReducedProbe  — two-stage with a narrowed nprobe budget.
+///   0 kNormal        — the pinned version's scoring path: two-stage
+///                      Task A when it carries an index, else brute
+///                      force.
+///   1 kTwoStage      — no change to scoring (the ladder builds no
+///                      index); the tier is still recorded so the
+///                      response stays attributable.
+///   2 kReducedProbe  — a narrowed nprobe budget for versions that
+///                      carry an index; the rest brute-force.
 ///   3 kTightDeadline — admission clamps every request's deadline to a
 ///                      short budget, so queue-aged work sheds instead
 ///                      of serving late.

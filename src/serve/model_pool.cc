@@ -20,6 +20,17 @@ namespace {
 /// Swap audit log retention (installs + rejections + rollbacks).
 constexpr size_t kMaxSwapEvents = 64;
 
+/// Bounded retry for kIoError checkpoint-read failures: attempts =
+/// 1 + kLoadMaxRetries, exponential backoff from kLoadBackoffMs with
+/// deterministic jitter seeded by kLoadJitterSeed. The checkpoint
+/// format reports both transient EIO and detected corruption as
+/// kIoError, so a corrupt file burns the (small, bounded) retry budget
+/// before rejection — a deliberate trade: it also rides out the
+/// it-was-still-being-written window. Every other code fails fast.
+constexpr int kLoadMaxRetries = 2;
+constexpr int64_t kLoadBackoffMs = 5;
+constexpr uint64_t kLoadJitterSeed = 0x10adbeef;
+
 /// Refreshes a freshly loaded version. Nothing runs backward through a
 /// served model, so the refresh builds no tape: its cached embeddings
 /// are plain values, bitwise those of a taped refresh (variable.h).
@@ -30,27 +41,12 @@ void RefreshForServing(RecModel* model) {
 
 }  // namespace
 
-ModelPool::ModelPool(Factory factory) : factory_(std::move(factory)) {}
-
-std::shared_ptr<const retrieval::ItemRetriever> ModelPool::BuildRetriever(
-    const RecModel& model) const {
-  retrieval::TwoStageConfig config;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!retrieval_enabled_) return nullptr;
-    config = retrieval_config_;
+ModelPool::ModelPool(Factory factory, PoolConfig config)
+    : factory_(std::move(factory)), config_(config) {
+  if (config_.retrieval.enabled) {
+    MGBR_CHECK_GE(config_.retrieval.nprobe, 1);
+    MGBR_CHECK_GE(config_.retrieval.overfetch, 1);
   }
-  return retrieval::ItemRetriever::BuildFor(model, config);
-}
-
-std::shared_ptr<const QuantizedEmbeddingView> ModelPool::BuildQuant(
-    const RecModel& model) const {
-  QuantMode mode;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    mode = quant_mode_;
-  }
-  return QuantizedEmbeddingView::BuildFor(model, mode);
 }
 
 int64_t ModelPool::ServedTableBytes(const Version& version) {
@@ -77,9 +73,9 @@ void ModelPool::RecordEvent(SwapEvent event) {
 }
 
 Status ModelPool::ValidateCandidate(RecModel* model,
-                                    const ValidationConfig& config,
                                     const ProbeSignature& reference,
                                     ProbeSignature* signature) const {
+  const ValidationConfig& config = config_.validation;
   NoGradScope no_grad;
   const int64_t probes = std::min(config.probe_users, model->num_users());
   signature->clear();
@@ -127,17 +123,15 @@ Status ModelPool::ValidateCandidate(RecModel* model,
 int64_t ModelPool::Install(std::unique_ptr<RecModel> model,
                            std::string source) {
   MGBR_CHECK(model != nullptr);
-  ValidationConfig validation;
-  ProbeSignature reference;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    validation = validation_;
-    reference = reference_signature_;
-  }
   ProbeSignature signature;
-  if (validation.enabled) {
+  if (config_.validation.enabled) {
+    ProbeSignature reference;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      reference = reference_signature_;
+    }
     const Status verdict =
-        ValidateCandidate(model.get(), validation, reference, &signature);
+        ValidateCandidate(model.get(), reference, &signature);
     if (!verdict.ok()) {
       {
         std::lock_guard<std::mutex> lock(mu_);
@@ -155,9 +149,14 @@ int64_t ModelPool::Install(std::unique_ptr<RecModel> model,
   version->source = std::move(source);
   // Index and quantized-table construction happen before the version
   // becomes visible, so no reader can ever pair this model with
-  // another version's index or quantized table.
-  version->retriever = BuildRetriever(*version->model);
-  version->quant = BuildQuant(*version->model);
+  // another version's index or quantized table, and outside mu_, so a
+  // k-means build never serializes Acquire().
+  if (config_.retrieval.enabled) {
+    version->retriever =
+        retrieval::ItemRetriever::BuildFor(*version->model, config_.retrieval);
+  }
+  version->quant =
+      QuantizedEmbeddingView::BuildFor(*version->model, config_.quant);
   int64_t id = 0;
   std::string event_source;
   {
@@ -168,7 +167,7 @@ int64_t ModelPool::Install(std::unique_ptr<RecModel> model,
     previous_ = current_;
     current_ = std::move(version);
     ++stats_.swap_count;
-    if (validation.enabled) reference_signature_ = std::move(signature);
+    if (config_.validation.enabled) reference_signature_ = std::move(signature);
     id = current_->id;
     event_source = current_->source;
   }
@@ -198,15 +197,9 @@ Status ModelPool::Rollback() {
                         restored->source, ""});
   // Re-anchor the agreement reference on the restored model: the next
   // candidate must agree with what is actually serving now.
-  ValidationConfig validation;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    validation = validation_;
-  }
-  if (validation.enabled) {
+  if (config_.validation.enabled) {
     ProbeSignature signature;
-    if (ValidateCandidate(restored->model.get(), validation, {}, &signature)
-            .ok()) {
+    if (ValidateCandidate(restored->model.get(), {}, &signature).ok()) {
       std::lock_guard<std::mutex> lock(mu_);
       if (current_ == restored) reference_signature_ = std::move(signature);
     }
@@ -214,71 +207,9 @@ Status ModelPool::Rollback() {
   return Status::OK();
 }
 
-void ModelPool::EnableValidation(const ValidationConfig& config) {
-  std::shared_ptr<Version> served;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    validation_ = config;
-    validation_.enabled = true;
-    served = current_;
-  }
-  if (served == nullptr) return;
-  // Seed the agreement reference from the already-served version.
-  ProbeSignature signature;
-  if (ValidateCandidate(served->model.get(), config, {}, &signature).ok()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (current_ == served) reference_signature_ = std::move(signature);
-  }
-}
-
-void ModelPool::SetLoadRetryPolicy(const LoadRetryPolicy& policy) {
-  std::lock_guard<std::mutex> lock(mu_);
-  retry_policy_ = policy;
-}
-
 void ModelPool::SetEventHook(std::function<void(const SwapEvent&)> hook) {
   std::lock_guard<std::mutex> lock(mu_);
   event_hook_ = std::move(hook);
-}
-
-void ModelPool::EnableRetrieval(const retrieval::TwoStageConfig& config) {
-  std::shared_ptr<Version> served;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    retrieval_enabled_ = true;
-    retrieval_config_ = config;
-    served = current_;
-  }
-  if (served == nullptr || served->retriever != nullptr) return;
-  // Retrofit the already-served version: build over its own model,
-  // republish under the SAME id (this is not a swap — the parameters
-  // did not change). If a real swap lands while we build, the newer
-  // version already carries its own retriever; drop ours.
-  auto upgraded = std::make_shared<Version>(*served);
-  upgraded->retriever =
-      retrieval::ItemRetriever::BuildFor(*upgraded->model, config);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (current_ == served) current_ = std::move(upgraded);
-}
-
-void ModelPool::EnableQuantization(QuantMode mode) {
-  std::shared_ptr<Version> served;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    quant_mode_ = mode;
-    served = current_;
-  }
-  if (mode == QuantMode::kFp32) return;
-  if (served == nullptr || served->quant != nullptr) return;
-  // Retrofit the already-served version under the SAME id, as
-  // EnableRetrieval does. Callers invoke this before taking traffic
-  // (Server constructor), so no fp32 scores can already be cached
-  // against this version id. If a real swap lands while we build, the
-  // newer version already carries its own view; drop ours.
-  auto upgraded = std::make_shared<Version>(*served);
-  upgraded->quant = QuantizedEmbeddingView::BuildFor(*upgraded->model, mode);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (current_ == served) current_ = std::move(upgraded);
 }
 
 Status ModelPool::Load(std::string source, const ReadFn& read) {
@@ -289,30 +220,24 @@ Status ModelPool::Load(std::string source, const ReadFn& read) {
   std::vector<Var> params = model->Parameters();
   CheckpointReadRequest request;
   request.params = &params;
-  LoadRetryPolicy policy;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    policy = retry_policy_;
-  }
   Status status;
-  for (int attempt = 0; attempt <= policy.max_retries; ++attempt) {
+  for (int attempt = 0; attempt <= kLoadMaxRetries; ++attempt) {
     if (attempt > 0) {
       // Exponential backoff with deterministic seeded jitter: the
       // schedule of a given (seed, source, attempt) never varies run to
       // run, so fault-injection tests stay reproducible.
-      const int64_t base = policy.backoff_ms << (attempt - 1);
-      Rng rng(policy.jitter_seed ^ std::hash<std::string>{}(source) ^
+      const int64_t base = kLoadBackoffMs << (attempt - 1);
+      Rng rng(kLoadJitterSeed ^ std::hash<std::string>{}(source) ^
               static_cast<uint64_t>(attempt));
       const int64_t jitter =
-          base > 0 ? static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(base))) : 0;
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(base + jitter));
+          static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(base)));
+      std::this_thread::sleep_for(std::chrono::milliseconds(base + jitter));
       {
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.load_retries;
       }
       MGBR_LOG_WARNING("pool: retrying load of '", source, "' (attempt ",
-                       attempt + 1, "/", policy.max_retries + 1,
+                       attempt + 1, "/", kLoadMaxRetries + 1,
                        ") after: ", status.message());
     }
     status = read(request, &source);

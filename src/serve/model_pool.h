@@ -14,6 +14,7 @@
 #include "models/rec_model.h"
 #include "retrieval/two_stage.h"
 #include "serve/types.h"
+#include "tensor/quant.h"
 #include "train/checkpoint.h"
 
 namespace mgbr::serve {
@@ -41,17 +42,30 @@ struct ValidationConfig {
   double min_ref_overlap = 0.0;
 };
 
-/// Bounded retry for kIoError checkpoint-read failures: attempts =
-/// 1 + max_retries, exponential backoff with deterministic seeded
-/// jitter. The checkpoint format reports both transient EIO and
-/// detected corruption as kIoError, so a corrupt file burns the (small,
-/// bounded) retry budget before rejection — a deliberate trade: it also
-/// rides out the it-was-still-being-written window. Every other code
-/// fails fast.
-struct LoadRetryPolicy {
-  int max_retries = 2;
-  int64_t backoff_ms = 5;
-  uint64_t jitter_seed = 0x10adbeef;
+/// What every version a pool publishes carries, fixed when the pool is
+/// constructed: ModelPool builds each version's artifacts from it
+/// before publishing, and the served scoring path follows from what
+/// the pinned version holds.
+struct PoolConfig {
+  /// Two-stage Task-A top-K: ANN candidate generation over the model's
+  /// retrieval view, exact batched re-rank of the candidates. Off by
+  /// default — brute force stays the reference path. When enabled,
+  /// every version carries an index built over its own embeddings and
+  /// the server serves its Task A two-stage; versions of models
+  /// without a retrieval view carry none and are brute-forced.
+  retrieval::TwoStageConfig retrieval;
+  /// Quantized scoring: kBf16/kInt8 make every version carry a
+  /// QuantizedEmbeddingView, and the server scores Task A/B (and the
+  /// two-stage re-rank) off it instead of the fp32 blocks. kFp32
+  /// (default) keeps the reference path bitwise unchanged. Models
+  /// without a retrieval view (MGBR's MLP head) carry no view and stay
+  /// fp32. Gated on ranking agreement by the quant-gate CI job
+  /// (docs/quantization.md).
+  QuantMode quant = QuantMode::kFp32;
+  /// Pre-publish validation gate (off by default). When enabled it
+  /// screens every Install/LoadVersion/LoadLatest, the first included;
+  /// the first accepted version becomes the agreement reference.
+  ValidationConfig validation;
 };
 
 /// The pool's swap accounting (ModelPool::stats()), rendered next to
@@ -87,13 +101,13 @@ inline constexpr StatsField<PoolStats> kPoolStatsFields[] = {
 /// bitwise attributable to exactly one version: there is no moment at
 /// which any thread can observe a half-loaded parameter set.
 ///
-/// With EnableRetrieval(), every version also carries an immutable ANN
-/// ItemRetriever built over that exact model instance's refreshed
-/// embeddings BEFORE the version is published. Model and index always
-/// travel together inside one Version object, so a hot swap can never
-/// pair a new model with a stale index (or vice versa) — the swap
-/// safety half of the retrieval determinism contract
-/// (docs/retrieval.md).
+/// Per its PoolConfig, every version also carries an immutable ANN
+/// ItemRetriever and a QuantizedEmbeddingView built over that exact
+/// model instance's refreshed embeddings BEFORE the version is
+/// published. Model, index and quantized table always travel together
+/// inside one Version object, so a hot swap can never pair a new model
+/// with a stale index (or vice versa) — the swap safety half of the
+/// retrieval determinism contract (docs/retrieval.md).
 class ModelPool {
  public:
   /// Builds an uninitialised model whose parameter shapes match the
@@ -125,7 +139,9 @@ class ModelPool {
     std::string detail;  // rejection reason, empty otherwise
   };
 
-  explicit ModelPool(Factory factory);
+  /// `config` fixes what every version carries for the pool's
+  /// lifetime; there is no way to change it once the pool exists.
+  explicit ModelPool(Factory factory, PoolConfig config = {});
 
   /// Wraps an already-built (and Refreshed) model as the next version.
   /// Returns the new version id — or 0 when the validation gate is
@@ -155,43 +171,18 @@ class ModelPool {
   /// kFailedPrecondition when no previous version is retained.
   Status Rollback();
 
-  /// Turns on the pre-publish validation gate for every later
-  /// Install/LoadVersion. The currently served version (if any)
-  /// becomes the initial agreement reference.
-  void EnableValidation(const ValidationConfig& config);
-
-  /// Replaces the transient-read retry policy (defaults apply
-  /// otherwise).
-  void SetLoadRetryPolicy(const LoadRetryPolicy& policy);
-
   /// Observer called synchronously after every swap-log append (the
   /// server feeds these to the flight recorder). Set before traffic;
   /// replace with nullptr to detach.
   void SetEventHook(std::function<void(const SwapEvent&)> hook);
 
-  /// Turns on per-version ANN retriever construction: every later
-  /// Install/LoadVersion builds the index before publishing, and the
-  /// currently served version (if any) is republished with a retriever
-  /// built over its own model — same version id, the model pointer is
-  /// shared, only the retriever is added. Readers that already hold
-  /// the pre-retrofit snapshot keep brute-forcing it; both snapshots
-  /// score identically because they share the model.
-  void EnableRetrieval(const retrieval::TwoStageConfig& config);
-
-  /// Turns on per-version quantized-table construction (bf16/int8;
-  /// kFp32 is a no-op): every later Install/LoadVersion builds the
-  /// QuantizedEmbeddingView before publishing, and the currently
-  /// served version (if any) is republished with a view built over its
-  /// own model — same retrofit semantics as EnableRetrieval. The
-  /// server calls this from its constructor (before any traffic), so a
-  /// retrofit can never race already-cached fp32 scores for the same
-  /// version id.
-  void EnableQuantization(QuantMode mode);
-
   /// Snapshot of the current version; null before the first Install/
   /// LoadVersion. Holding the returned pointer pins the version, so
   /// scoring through it is immune to concurrent swaps.
   std::shared_ptr<Version> Acquire() const;
+
+  /// The construction-time config; immutable, so read without the lock.
+  const PoolConfig& config() const { return config_; }
 
   /// Id of the served version (0 when empty).
   int64_t current_id() const;
@@ -228,23 +219,14 @@ class ModelPool {
   Status Load(std::string source, const ReadFn& read);
   /// Canary-scores the probe set; fills `*signature` and fails on any
   /// non-finite score or reference disagreement.
-  Status ValidateCandidate(RecModel* model, const ValidationConfig& config,
-                           const ProbeSignature& reference,
+  Status ValidateCandidate(RecModel* model, const ProbeSignature& reference,
                            ProbeSignature* signature) const;
   /// Appends to the bounded swap log and fires the event hook.
   /// Called without mu_ held.
   void RecordEvent(SwapEvent event);
-  /// Retriever for `model` under the current retrieval config (null
-  /// when disabled/unsupported). Called outside mu_ — k-means builds
-  /// must not serialize Acquire().
-  std::shared_ptr<const retrieval::ItemRetriever> BuildRetriever(
-      const RecModel& model) const;
-  /// Quantized view for `model` under the current quant mode (null
-  /// when off/unsupported). Called outside mu_.
-  std::shared_ptr<const QuantizedEmbeddingView> BuildQuant(
-      const RecModel& model) const;
 
   Factory factory_;
+  const PoolConfig config_;
   mutable std::mutex mu_;
   std::shared_ptr<Version> current_;
   /// Last-known-good: the version displaced by the latest successful
@@ -252,15 +234,9 @@ class ModelPool {
   std::shared_ptr<Version> previous_;
   int64_t next_id_ = 1;
   PoolStats stats_;
-  bool retrieval_enabled_ = false;
-  retrieval::TwoStageConfig retrieval_config_;
-  QuantMode quant_mode_ = QuantMode::kFp32;
-  ValidationConfig validation_;
   /// Canary signature of the last ACCEPTED version (agreement
-  /// reference); empty until validation is enabled and a version
-  /// passes (or the retrofit seeds it from the served version).
+  /// reference); empty until a version passes an enabled gate.
   ProbeSignature reference_signature_;
-  LoadRetryPolicy retry_policy_;
   std::deque<SwapEvent> events_;  // bounded to kMaxSwapEvents
   std::function<void(const SwapEvent&)> event_hook_;
 };

@@ -127,30 +127,6 @@ Server::Server(ModelPool* pool, ServerConfig config)
   MGBR_CHECK_GE(config_.max_batch, 1);
   MGBR_CHECK_GE(config_.n_workers, 1);
   MGBR_CHECK_GE(config_.cache_capacity, 0);
-  if (config_.retrieval.enabled) {
-    MGBR_CHECK_GE(config_.retrieval.nprobe, 1);
-    MGBR_CHECK_GE(config_.retrieval.overfetch, 1);
-  }
-  if (config_.retrieval.enabled || config_.degrade.enabled) {
-    // Every version published from here on carries its own ANN index;
-    // the served one is retrofitted before the first batch runs. The
-    // degradation ladder enables it even with two-stage serving off so
-    // tiers 1-2 have an index to fall to (models without a retrieval
-    // view keep brute force at those tiers).
-    pool_->EnableRetrieval(config_.retrieval);
-  }
-  if (config_.quant != QuantMode::kFp32) {
-    // Same pre-traffic retrofit as retrieval: every served version
-    // carries a quantized table built over its own embeddings, and no
-    // fp32 score can be cached against a version id before its
-    // quantized view exists.
-    pool_->EnableQuantization(config_.quant);
-  }
-  if (config_.validation.enabled) {
-    // Later swaps pass the canary gate before publishing; the served
-    // version seeds the agreement reference.
-    pool_->EnableValidation(config_.validation);
-  }
   if (config_.degrade.enabled) {
     degrade_ = std::make_unique<DegradationController>(config_.degrade);
   }
@@ -603,15 +579,6 @@ void Server::ExecuteBatch(Batch batch, WorkerSlot* slot) {
   const int64_t score_start = trace::NowMicros();
   for (Pending& pending : batch) pending.score_start_us = score_start;
 
-  // Ladder tier pinned for the whole batch, exactly like the model
-  // version: every response is attributable to one (version, tier)
-  // pair even if the ladder steps mid-batch.
-  const int dl = degrade_ != nullptr ? degrade_->level() : 0;
-  // Probe budget at this tier: 0 = the retriever's configured default.
-  const int64_t probe_override =
-      degrade_ != nullptr ? degrade_->EffectiveNprobe(config_.retrieval.nprobe)
-                          : 0;
-
   // One version pinned for the whole batch: every response in it is
   // attributable to this snapshot even if a swap lands mid-batch.
   const std::shared_ptr<ModelPool::Version> snapshot = pool_->Acquire();
@@ -619,17 +586,23 @@ void Server::ExecuteBatch(Batch batch, WorkerSlot* slot) {
   RecModel* model = snapshot->model.get();
   const int64_t n_users = model->num_users();
   const int64_t n_items = model->num_items();
-  // The retriever travels inside the pinned version, so the candidates
-  // below always come from the index built over THIS snapshot's
-  // embeddings — a hot swap mid-batch can never mix versions. Null for
-  // versions without a retrieval view (brute-force fallback). The
-  // degradation ladder forces the two-stage path at kTwoStage and
-  // above even when two-stage serving is off in the config.
-  const bool want_retriever =
-      config_.retrieval.enabled ||
-      dl >= static_cast<int>(DegradeLevel::kTwoStage);
-  const retrieval::ItemRetriever* retriever =
-      want_retriever ? snapshot->retriever.get() : nullptr;
+  // The retriever and the quantized view travel inside the pinned
+  // version, so candidates and quantized scores always come from the
+  // artifacts built over THIS snapshot's embeddings — a hot swap
+  // mid-batch can never mix versions. Each is null when the version
+  // carries none (brute-force / fp32 path).
+  const retrieval::ItemRetriever* retriever = snapshot->retriever.get();
+  const QuantizedEmbeddingView* quant = snapshot->quant.get();
+
+  // Ladder tier pinned for the whole batch, exactly like the model
+  // version: every response is attributable to one (version, tier)
+  // pair even if the ladder steps mid-batch.
+  const int dl = degrade_ != nullptr ? degrade_->level() : 0;
+  // Probe budget at this tier: 0 = the retriever's configured default.
+  const int64_t probe_override =
+      degrade_ != nullptr && retriever != nullptr
+          ? degrade_->EffectiveNprobe(retriever->config().nprobe)
+          : 0;
 
   // Group requests by (task, user, item, probe) in first-appearance
   // order so a key shared by several requests is scored exactly once.
@@ -672,13 +645,6 @@ void Server::ExecuteBatch(Batch batch, WorkerSlot* slot) {
     if (inserted) keys.push_back(key);
     it->second.push_back(idx);
   }
-
-  // The quantized view travels inside the pinned version exactly like
-  // the retriever, so a batch can never score a new model against an
-  // old version's quantized table. Null when quantization is off or
-  // this version's model exposes no retrieval view (fp32 fallback).
-  const QuantizedEmbeddingView* quant =
-      config_.quant != QuantMode::kFp32 ? snapshot->quant.get() : nullptr;
 
   NoGradScope no_grad;
   for (const CacheKey& key : keys) {
@@ -872,7 +838,7 @@ std::string Server::VarzJson(bool include_flight) const {
   out += "},\"exporter_port\":";
   out += std::to_string(metrics_port());
   out += ",\"quant_mode\":\"";
-  out += QuantModeName(config_.quant);
+  out += QuantModeName(pool_->config().quant);
   out += "\",\"model_bytes\":";
   {
     const std::shared_ptr<ModelPool::Version> v = pool_->Acquire();

@@ -18,11 +18,9 @@
 #include "obs/exporter.h"
 #include "obs/flight_recorder.h"
 #include "obs/slo.h"
-#include "retrieval/two_stage.h"
 #include "serve/degrade.h"
 #include "serve/model_pool.h"
 #include "serve/types.h"
-#include "tensor/quant.h"
 
 namespace mgbr::serve {
 
@@ -95,34 +93,15 @@ struct ServerConfig {
   /// lifetime of that version. Entries are invalidated by version id,
   /// so a hot swap can never serve stale scores.
   int64_t cache_capacity = 0;
-  /// Two-stage Task-A top-K: ANN candidate generation over the model's
-  /// retrieval view, exact batched re-rank of the candidates. Off by
-  /// default — brute force stays the reference path. When enabled the
-  /// server calls pool->EnableRetrieval(retrieval) at construction, so
-  /// every served version carries an index built over its own
-  /// embeddings; versions without a retrieval view (or acquired before
-  /// the retrofit published) fall back to brute force per batch.
-  retrieval::TwoStageConfig retrieval;
-  /// Quantized scoring: kBf16/kInt8 score Task A/B (and the two-stage
-  /// re-rank) off the version's QuantizedEmbeddingView instead of the
-  /// fp32 blocks. kFp32 (default) keeps the reference path bitwise
-  /// unchanged. When set, the server calls pool->EnableQuantization at
-  /// construction; models without a retrieval view (MGBR's MLP head)
-  /// fall back to fp32 per key. Gated on ranking agreement by the
-  /// quant-gate CI job (docs/quantization.md).
-  QuantMode quant = QuantMode::kFp32;
   /// Serving observability stack (off by default).
   ObsOptions obs;
   /// SLO-driven degradation ladder (off by default). When enabled the
-  /// SLO monitor runs even if the obs stack is otherwise off, and the
-  /// server enables pool retrieval so the cheaper two-stage tiers have
-  /// an index to fall to (models without a retrieval view keep brute
-  /// force at those tiers; the deadline/shed tiers still apply).
+  /// SLO monitor runs even if the obs stack is otherwise off. The
+  /// ladder builds nothing: its reduced-probe tiers narrow the probe of
+  /// versions that carry an index (PoolConfig::retrieval), and
+  /// versions without one brute-force at every tier; the
+  /// deadline/shed tiers apply either way.
   DegradeConfig degrade;
-  /// Pre-publish validation gate (off by default). When enabled the
-  /// server calls pool->EnableValidation at construction, seeding the
-  /// agreement reference from the already-served version.
-  ValidationConfig validation;
   /// Worker stall watchdog (off by default).
   WatchdogConfig watchdog;
 };
@@ -150,7 +129,9 @@ class Server {
   /// Stopped once the workers have joined.
   enum class State { kRunning = 0, kDraining, kStopped };
 
-  /// `pool` must outlive the server and already hold a version.
+  /// `pool` must outlive the server and already hold a version. What
+  /// each version carries (index, quantized table, validation gate) is
+  /// the pool's PoolConfig; the server only reads it.
   Server(ModelPool* pool, ServerConfig config = {});
   ~Server();
 
@@ -268,7 +249,7 @@ class Server {
     std::shared_ptr<const std::vector<int64_t>> ids;
     /// True when `scores` came from the quantized embedding view
     /// (stats attribution only; the cache keying is unaffected because
-    /// the quant mode is fixed for the server's lifetime).
+    /// the quant mode is fixed for the pool's lifetime).
     bool quantized = false;
   };
   struct CacheEntry {

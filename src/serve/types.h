@@ -94,7 +94,7 @@ struct ServerStats {
   /// exposes no retrieval view).
   int64_t two_stage = 0;
   /// OK responses whose scores came from the quantized embedding view
-  /// (0 when ServerConfig::quant is kFp32 or the served model exposes
+  /// (0 when PoolConfig::quant is kFp32 or the served model exposes
   /// no retrieval view — those fall back to the fp32 path).
   int64_t quant_scored = 0;
   /// Requests dropped at admission by the degradation ladder's shed

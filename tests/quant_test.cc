@@ -467,6 +467,12 @@ class ServeQuantTest : public QuantViewTest {
     };
   }
 
+  static serve::PoolConfig Quantized(QuantMode mode) {
+    serve::PoolConfig config;
+    config.quant = mode;
+    return config;
+  }
+
   static Response Submit(Server* server, TaskKind task, int64_t user,
                          int64_t item, int64_t k) {
     Request req;
@@ -496,11 +502,9 @@ class ServeQuantTest : public QuantViewTest {
 };
 
 TEST_F(ServeQuantTest, ServedScoresAreBitwiseTheViewsAndCounted) {
-  ModelPool pool(GbgcnFactory(5));
+  ModelPool pool(GbgcnFactory(5), Quantized(QuantMode::kInt8));
   pool.Install(MakeGbgcn(5), "v1");
-  ServerConfig config;
-  config.quant = QuantMode::kInt8;
-  Server server(&pool, config);
+  Server server(&pool, ServerConfig{});
 
   const std::shared_ptr<ModelPool::Version> version = pool.Acquire();
   ASSERT_NE(version, nullptr);
@@ -527,10 +531,9 @@ TEST_F(ServeQuantTest, ServedScoresAreBitwiseTheViewsAndCounted) {
 }
 
 TEST_F(ServeQuantTest, HotSwapNeverServesAStaleQuantizedTable) {
-  ModelPool pool(GbgcnFactory(5));
+  ModelPool pool(GbgcnFactory(5), Quantized(QuantMode::kBf16));
   pool.Install(MakeGbgcn(5), "v1");
   ServerConfig config;
-  config.quant = QuantMode::kBf16;
   config.cache_capacity = 64;
   Server server(&pool, config);
 
@@ -573,13 +576,11 @@ TEST_F(ServeQuantTest, MgbrFallsBackToFp32AndCountsNothing) {
     model->Refresh();
     return model;
   };
-  ModelPool pool([&make_mgbr] {
-    return std::unique_ptr<RecModel>(make_mgbr(3));
-  });
+  ModelPool pool(
+      [&make_mgbr] { return std::unique_ptr<RecModel>(make_mgbr(3)); },
+      Quantized(QuantMode::kInt8));
   pool.Install(make_mgbr(3), "mgbr");
-  ServerConfig config;
-  config.quant = QuantMode::kInt8;
-  Server server(&pool, config);
+  Server server(&pool, ServerConfig{});
 
   // MGBR has no retrieval view, so the version carries no quantized
   // table and responses are the fp32 reference bitwise.
@@ -607,7 +608,7 @@ TEST_F(ServeQuantTest, MgbrFallsBackToFp32AndCountsNothing) {
 TEST_F(ServeQuantTest, Fp32DefaultBuildsNoViewAndStaysReference) {
   ModelPool pool(GbgcnFactory(5));
   pool.Install(MakeGbgcn(5), "v1");
-  Server server(&pool, ServerConfig{});  // quant defaults to kFp32
+  Server server(&pool, ServerConfig{});  // pool quant defaults to kFp32
 
   const std::shared_ptr<ModelPool::Version> version = pool.Acquire();
   EXPECT_EQ(version->quant, nullptr);

@@ -81,6 +81,29 @@ class ServeTestBase : public ::testing::Test {
     };
   }
 
+  /// GBGCN: a dot-product scorer with a retrieval view, so its versions
+  /// can carry an ANN index and a quantized table.
+  std::unique_ptr<Gbgcn> MakeGbgcn(uint64_t seed) const {
+    Rng rng(seed);
+    auto model =
+        std::make_unique<Gbgcn>(graphs_, /*dim=*/8, /*n_layers=*/2, &rng);
+    model->Refresh();
+    return model;
+  }
+
+  ModelPool::Factory GbgcnFactory(uint64_t seed) const {
+    return [this, seed] {
+      return std::unique_ptr<RecModel>(MakeGbgcn(seed));
+    };
+  }
+
+  /// Pool config that builds an ANN index into every version.
+  static serve::PoolConfig TwoStage() {
+    serve::PoolConfig config;
+    config.retrieval.enabled = true;
+    return config;
+  }
+
   /// Reference result computed directly against `model`, bypassing the
   /// server: the batching/caching layer must reproduce this exactly.
   static Response DirectScore(RecModel* model, const Request& req) {
@@ -153,22 +176,7 @@ class ServeSwapTest : public ServeTestBase {};
 /// two-stage responses must be BITWISE equal to the brute path — any
 /// divergence (including a stale index after a hot swap) is an error,
 /// not a recall shortfall. Runs under TSan in CI.
-class ServeRetrievalTest : public ServeTestBase {
- protected:
-  std::unique_ptr<Gbgcn> MakeGbgcn(uint64_t seed) const {
-    Rng rng(seed);
-    auto model =
-        std::make_unique<Gbgcn>(graphs_, /*dim=*/8, /*n_layers=*/2, &rng);
-    model->Refresh();
-    return model;
-  }
-
-  ModelPool::Factory GbgcnFactory(uint64_t seed) const {
-    return [this, seed] {
-      return std::unique_ptr<RecModel>(MakeGbgcn(seed));
-    };
-  }
-};
+class ServeRetrievalTest : public ServeTestBase {};
 // Observability wiring (exporter / healthz / flight recorder). Runs
 // under TSan in CI: the exporter thread reads the counts while the
 // workers write them.
@@ -733,14 +741,11 @@ TEST_F(ServeSwapTest, HotSwapMidTrafficEveryResponseBitwiseAttributable) {
 // ---------------------------------------------------------------------------
 
 TEST_F(ServeRetrievalTest, TwoStageResponsesMatchBruteBitwise) {
-  ModelPool pool(GbgcnFactory(8));
+  ModelPool pool(GbgcnFactory(8), TwoStage());
   std::unique_ptr<Gbgcn> reference = MakeGbgcn(8);
-  pool.Install(MakeGbgcn(8), "init");  // installed BEFORE the server:
-                                       // exercises the EnableRetrieval
-                                       // retrofit of a served version
+  pool.Install(MakeGbgcn(8), "init");
   ServerConfig config;
   config.n_workers = 2;
-  config.retrieval.enabled = true;
   Server server(&pool, config);
 
   for (int64_t u = 0; u < graphs_.n_users; ++u) {
@@ -762,7 +767,7 @@ TEST_F(ServeRetrievalTest, RetrievalOffKeepsBrutePathAndCountsNothing) {
   ModelPool pool(GbgcnFactory(8));
   std::unique_ptr<Gbgcn> reference = MakeGbgcn(8);
   pool.Install(MakeGbgcn(8), "init");
-  Server server(&pool, ServerConfig{});  // retrieval off by default
+  Server server(&pool, ServerConfig{});  // pool retrieval off by default
 
   Request req;
   req.task = TaskKind::kTopKItems;
@@ -780,12 +785,10 @@ TEST_F(ServeRetrievalTest, RetrievalOffKeepsBrutePathAndCountsNothing) {
 TEST_F(ServeRetrievalTest, ModelWithoutRetrievalViewFallsBackToBrute) {
   // MGBR exposes no retrieval view: enabling retrieval must be a
   // silent no-op, never an error or a wrong answer.
-  ModelPool pool(Factory(3));
+  ModelPool pool(Factory(3), TwoStage());
   std::unique_ptr<MgbrModel> reference = MakeModel(3);
   pool.Install(MakeModel(3), "init");
-  ServerConfig config;
-  config.retrieval.enabled = true;
-  Server server(&pool, config);
+  Server server(&pool, ServerConfig{});
 
   Request req;
   req.task = TaskKind::kTopKItems;
@@ -800,13 +803,55 @@ TEST_F(ServeRetrievalTest, ModelWithoutRetrievalViewFallsBackToBrute) {
   EXPECT_EQ(server.stats().two_stage, 0);
 }
 
+TEST_F(ServeRetrievalTest, ServerConstructionRepublishesNothing) {
+  // What a version carries is fixed by the pool's config: the first
+  // Install already builds both artifacts, and building a server over
+  // the pool leaves the served version exactly as it was.
+  serve::PoolConfig pool_config = TwoStage();
+  pool_config.quant = QuantMode::kBf16;
+  ModelPool pool(GbgcnFactory(8), pool_config);
+  ASSERT_EQ(pool.Install(MakeGbgcn(8), "init"), 1);
+  const std::shared_ptr<ModelPool::Version> installed = pool.Acquire();
+  ASSERT_NE(installed, nullptr);
+  EXPECT_NE(installed->retriever, nullptr);
+  ASSERT_NE(installed->quant, nullptr);
+  EXPECT_EQ(installed->quant->mode(), QuantMode::kBf16);
+
+  Server server(&pool, ServerConfig{});
+  EXPECT_EQ(pool.Acquire(), installed);
+  EXPECT_EQ(pool.current_id(), 1);
+  EXPECT_EQ(pool.swap_count(), 1);
+}
+
+TEST_F(ServeRetrievalTest, HugeCutoffServesTheWholeCatalogueTwoStage) {
+  // The index is asked for k * overfetch candidates. A k past
+  // INT64_MAX / overfetch must clamp to the catalogue, not overflow
+  // into an empty candidate set and a silent brute-force fallback.
+  ModelPool pool(GbgcnFactory(8), TwoStage());
+  std::unique_ptr<Gbgcn> reference = MakeGbgcn(8);
+  pool.Install(MakeGbgcn(8), "init");
+  Server server(&pool, ServerConfig{});
+
+  Request req;
+  req.task = TaskKind::kTopKItems;
+  req.user = 1;
+  req.k = std::numeric_limits<int64_t>::max();
+  const Response resp = server.Submit(req).get();
+  ASSERT_EQ(resp.code, ResponseCode::kOk);
+  EXPECT_EQ(static_cast<int64_t>(resp.top_k.size()), graphs_.n_items);
+  const Response want = DirectScore(reference.get(), req);
+  EXPECT_EQ(resp.top_k, want.top_k);
+  EXPECT_EQ(resp.scores, want.scores);
+  server.Stop();
+  EXPECT_EQ(server.stats().two_stage, 1);
+}
+
 TEST_F(ServeRetrievalTest, CacheSharesSameCutoffButNeverAcrossCutoffs) {
-  ModelPool pool(GbgcnFactory(8));
+  ModelPool pool(GbgcnFactory(8), TwoStage());
   std::unique_ptr<Gbgcn> reference = MakeGbgcn(8);
   pool.Install(MakeGbgcn(8), "init");
   ServerConfig config;
   config.cache_capacity = 32;
-  config.retrieval.enabled = true;
   Server server(&pool, config);
 
   auto submit = [&](int64_t k) {
@@ -845,12 +890,11 @@ TEST_F(ServeRetrievalTest, HotSwapNeverServesAStaleIndex) {
   ASSERT_TRUE(SaveParameters(model_a->Parameters(), ckpt_a).ok());
   ASSERT_TRUE(SaveParameters(model_b->Parameters(), ckpt_b).ok());
 
-  ModelPool pool(GbgcnFactory(99));
+  ModelPool pool(GbgcnFactory(99), TwoStage());
   ASSERT_TRUE(pool.LoadVersion(ckpt_a).ok());  // id 1 = A
   ServerConfig config;
   config.n_workers = 2;
   config.cache_capacity = 32;
-  config.retrieval.enabled = true;
   Server server(&pool, config);
 
   auto reference_for = [&](int64_t version_id) -> RecModel* {
@@ -1198,12 +1242,13 @@ class ServeValidationTest : public ServeTestBase {
  protected:
   const ScopedTempDir temp_{"serve_validation"};
 
-  static serve::ValidationConfig Gate(double min_ref_overlap = 0.0) {
-    serve::ValidationConfig config;
-    config.enabled = true;
-    config.probe_users = 4;
-    config.probe_k = 3;
-    config.min_ref_overlap = min_ref_overlap;
+  /// Pool config with the canary gate on.
+  static serve::PoolConfig Gate(double min_ref_overlap = 0.0) {
+    serve::PoolConfig config;
+    config.validation.enabled = true;
+    config.validation.probe_users = 4;
+    config.validation.probe_k = 3;
+    config.validation.min_ref_overlap = min_ref_overlap;
     return config;
   }
 
@@ -1224,8 +1269,7 @@ class ServeValidationTest : public ServeTestBase {
 
 TEST_F(ServeValidationTest, CanaryRejectsNanPoisonedCheckpoint) {
   const std::string nan_path = SaveNanPoisoned(2, "nan");
-  ModelPool pool(Factory(2));
-  pool.EnableValidation(Gate());
+  ModelPool pool(Factory(2), Gate());
   ASSERT_EQ(pool.Install(MakeModel(1), "seed"), 1);
 
   // The poisoned checkpoint round-trips its CRCs, so LoadVersion's
@@ -1245,8 +1289,7 @@ TEST_F(ServeValidationTest, CanaryRejectsNanPoisonedCheckpoint) {
 }
 
 TEST_F(ServeValidationTest, CanaryRejectsNanPoisonedInstall) {
-  ModelPool pool(Factory(2));
-  pool.EnableValidation(Gate());
+  ModelPool pool(Factory(2), Gate());
   ASSERT_EQ(pool.Install(MakeModel(1), "seed"), 1);
 
   std::unique_ptr<MgbrModel> poisoned = MakeModel(2);
@@ -1268,10 +1311,6 @@ TEST_F(ServeValidationTest, CorruptCheckpointBurnsRetriesThenRejects) {
 
   ModelPool pool(Factory(9));
   pool.Install(MakeModel(1), "seed");
-  serve::LoadRetryPolicy policy;
-  policy.max_retries = 2;
-  policy.backoff_ms = 1;
-  pool.SetLoadRetryPolicy(policy);
 
   // The checkpoint format reports detected corruption as kIoError —
   // indistinguishable from a transient EIO — so the corrupt file burns
@@ -1296,10 +1335,6 @@ TEST_F(ServeValidationTest, TransientReadEioIsRetriedOnce) {
   fault::Install(injection);
 
   ModelPool pool(Factory(9));
-  serve::LoadRetryPolicy policy;
-  policy.max_retries = 2;
-  policy.backoff_ms = 1;
-  pool.SetLoadRetryPolicy(policy);
   ASSERT_TRUE(pool.LoadVersion(path).ok());
   EXPECT_EQ(pool.current_id(), 1);
   EXPECT_EQ(pool.load_retries(), 1);
@@ -1307,8 +1342,7 @@ TEST_F(ServeValidationTest, TransientReadEioIsRetriedOnce) {
 }
 
 TEST_F(ServeValidationTest, AgreementGateScreensDivergentCandidates) {
-  ModelPool pool(Factory(9));
-  pool.EnableValidation(Gate(/*min_ref_overlap=*/1.0));
+  ModelPool pool(Factory(9), Gate(/*min_ref_overlap=*/1.0));
 
   // First accepted version becomes the agreement reference.
   ASSERT_EQ(pool.Install(MakeModel(1), "ref"), 1);
@@ -1481,6 +1515,75 @@ TEST_F(ServeDegradeTest, ResponsesCarryTheTierTheyWereProducedUnder) {
   for (size_t i = 0; i < tiered.scores.size(); ++i) {
     EXPECT_EQ(tiered.scores[i], normal.scores[i]) << "rank " << i;
   }
+}
+
+TEST_F(ServeDegradeTest, TiersNarrowTheProbeOfAVersionWithAnIndex) {
+  // The ladder builds nothing: a version that carries an index serves
+  // Task A two-stage at every tier, tier 2 only narrowing its probe.
+  // The tiny catalogue makes even the reduced probe exhaustive, so
+  // every tier must reproduce the brute reference bitwise.
+  ModelPool pool(GbgcnFactory(8), TwoStage());
+  std::unique_ptr<Gbgcn> reference = MakeGbgcn(8);
+  pool.Install(MakeGbgcn(8), "seed");
+  ServerConfig config;
+  config.n_workers = 1;
+  config.degrade.enabled = true;
+  config.degrade.step_up_after = 1;
+  config.degrade.step_down_after = 1;
+  Server server(&pool, config);
+  ASSERT_NE(server.slo_monitor(), nullptr);
+  server.slo_monitor()->Stop();
+
+  Request req;
+  req.task = TaskKind::kTopKItems;
+  req.k = 5;
+  for (int tier = 0; tier <= 2; ++tier) {
+    if (tier > 0) server.degrade_controller()->OnEvaluate(Breach(true));
+    ASSERT_EQ(server.degrade_level(), tier);
+    for (int64_t u = 0; u < graphs_.n_users; ++u) {
+      req.user = u;
+      const Response resp = server.Submit(req).get();
+      ASSERT_EQ(resp.code, ResponseCode::kOk);
+      EXPECT_EQ(resp.degrade_level, tier);
+      const Response want = DirectScore(reference.get(), req);
+      EXPECT_EQ(resp.top_k, want.top_k) << "tier " << tier << " user " << u;
+      EXPECT_EQ(resp.scores, want.scores) << "tier " << tier << " user " << u;
+    }
+  }
+  server.Stop();
+  EXPECT_EQ(server.stats().two_stage, 3 * graphs_.n_users);
+}
+
+TEST_F(ServeDegradeTest, VersionWithoutAnIndexBruteForcesAtEveryTier) {
+  ModelPool pool(GbgcnFactory(8));  // retrieval off: no index is built
+  std::unique_ptr<Gbgcn> reference = MakeGbgcn(8);
+  pool.Install(MakeGbgcn(8), "seed");
+  ServerConfig config;
+  config.n_workers = 1;
+  config.degrade.enabled = true;
+  config.degrade.step_up_after = 1;
+  config.degrade.step_down_after = 1;
+  Server server(&pool, config);
+  ASSERT_NE(server.slo_monitor(), nullptr);
+  server.slo_monitor()->Stop();
+  server.degrade_controller()->OnEvaluate(Breach(true));
+  server.degrade_controller()->OnEvaluate(Breach(true));
+  ASSERT_EQ(server.degrade_level(), 2);
+
+  Request req;
+  req.task = TaskKind::kTopKItems;
+  req.k = 5;
+  for (int64_t u = 0; u < graphs_.n_users; ++u) {
+    req.user = u;
+    const Response resp = server.Submit(req).get();
+    ASSERT_EQ(resp.code, ResponseCode::kOk);
+    EXPECT_EQ(resp.degrade_level, 2);
+    const Response want = DirectScore(reference.get(), req);
+    EXPECT_EQ(resp.top_k, want.top_k) << "user " << u;
+    EXPECT_EQ(resp.scores, want.scores) << "user " << u;
+  }
+  server.Stop();
+  EXPECT_EQ(server.stats().two_stage, 0);
 }
 
 TEST_F(ServeDegradeTest, ShedTierAdmitsOneInNAndReleasesCleanly) {
