@@ -214,11 +214,7 @@ QuantReport MeasureQuant(ModelPool* pool, int64_t k, int64_t n_users) {
     std::vector<double> ref;
     {
       NoGradScope no_grad;
-      const Var column = version->model->ScoreAAll(u);
-      ref.resize(static_cast<size_t>(column.rows()));
-      for (int64_t r = 0; r < column.rows(); ++r) {
-        ref[static_cast<size_t>(r)] = column.value().at(r, 0);
-      }
+      ref = RecModel::ColumnToDoubles(version->model->ScoreAAll(u));
     }
     std::vector<double> quant;
     MGBR_CHECK(view.ScoreAAll(*version->model, u, &quant));
@@ -359,14 +355,9 @@ bool ChaosWriteAll(const std::string& path, const std::string& bytes) {
 /// takes, so an uncorrupted server must match it bitwise.
 std::vector<double> ChaosDirectScores(RecModel* model, const Request& r) {
   NoGradScope no_grad;
-  const Var column = r.task == TaskKind::kTopKItems
-                         ? model->ScoreAAll(r.user)
-                         : model->ScoreBAll(r.user, r.item);
-  std::vector<double> out(static_cast<size_t>(column.rows()));
-  for (int64_t i = 0; i < column.rows(); ++i) {
-    out[static_cast<size_t>(i)] = column.value().at(i, 0);
-  }
-  return out;
+  return RecModel::ColumnToDoubles(r.task == TaskKind::kTopKItems
+                                       ? model->ScoreAAll(r.user)
+                                       : model->ScoreBAll(r.user, r.item));
 }
 
 /// Verifies an OK response bitwise against direct scoring through the

@@ -62,14 +62,6 @@ struct ServingFixture {
   }
 };
 
-std::vector<double> ColumnToDoubles(const Var& column) {
-  std::vector<double> out(static_cast<size_t>(column.rows()));
-  for (int64_t r = 0; r < column.rows(); ++r) {
-    out[static_cast<size_t>(r)] = static_cast<double>(column.value().at(r, 0));
-  }
-  return out;
-}
-
 /// Caps the eval-pass benches at a fixed instance count so the tape
 /// side stays affordable; both sides of the gate pair see the same
 /// slice, so the ratio is a fair before/after.
@@ -138,7 +130,8 @@ void BM_ServeTopKParticipants(benchmark::State& state) {
   int64_t u = 0;
   int64_t item = 0;
   for (auto _ : state) {
-    std::vector<double> scores = ColumnToDoubles(f.model->ScoreBAll(u, item));
+    std::vector<double> scores =
+        RecModel::ColumnToDoubles(f.model->ScoreBAll(u, item));
     benchmark::DoNotOptimize(TopKIndices(scores, k));
     u = (u + 1) % f.harness.n_users();
     item = (item + 1) % f.harness.n_items();

@@ -1,931 +1,599 @@
 #!/usr/bin/env python3
-"""Benchmark regression gates (SIMD kernels, no-grad eval path, serving SLO).
+"""Benchmark regression gates: every pass/fail decision CI takes on a bench
+artifact, as rows of one table (GATES) read by one checker.
 
-Default mode — SIMD gate. Compares two bench_micro_engine JSON outputs,
-one run with the simd kernel variants dispatched (MGBR_SIMD=1) and one
-with the scalar variants (MGBR_SIMD=0), and fails if the geometric-mean
-speedup over the gate cases listed in BENCH_baseline.json falls below
-the committed floor (`ci_gate.min_simd_speedup_geomean`).
+A gate names its reports, their format (`schema`, or None for google-benchmark
+JSON), the fields each report must carry beyond those its rows read (`require`:
+dotted paths; "*" spans the elements of a non-empty list or object; ":kind"
+asks for a type other than a number) and its rows. A row (label, value, op,
+bound, reason) passes when `value op bound` holds. A value or bound is a report
+field (a dotted path), Floor(key) of BENCH_baseline.json's ci_gate, Sum(paths),
+a literal (Lit(s) for a string) or a function of the inputs. Each(block, rows)
+repeats rows per key of ci_gate.<block>, filling in "{key}"; By(field, {value:
+rows}) applies the rows keyed by a report field's value.
 
-`--eval` mode — inference-path gate. Reads ONE bench_serving JSON
-output containing both the per-instance tape evaluation benchmarks and
-their batched no-grad counterparts, and fails if the geomean of the
-tape/no-grad time ratios over `ci_gate.eval_pairs` falls below
-`ci_gate.min_eval_nograd_speedup_geomean`. The gated pairs are the
-full-ranking passes, where the batched scorer's once-per-unique-user
-catalogue scoring gives a structural speedup that is deterministic for
-a fixed dataset seed (it is a dedup ratio, not a kernel timing), so the
-floor holds even on noisy shared runners.
+Before any comparison, the schema, the `require` fields and every field and
+floor a row reads must be present with the right type, or the gate raises
+SchemaError and fails: a truncated artifact, a format drift or a baseline
+without a floor fails loudly instead of gating on garbage.
 
-`--serving` mode — latency-SLO gate. Reads ONE bench_loadgen JSON
-report ("mgbr-loadgen-v1") from an open-loop run at fixed offered load
-and fails when completed QPS falls below `ci_gate.serving_slo.min_qps`,
-p99 latency exceeds `max_p99_ms`, or the shed fraction exceeds
-`max_shed_fraction`. The QPS floor is the ">= 10x BM_ServeQpsTaskA"
-deliverable: the router's batching + per-version score cache must keep
-clearing an order of magnitude over the brute-force serving baseline.
-
-`--retrieval` mode — two-stage top-K gate. Reads ONE bench_retrieval
-JSON report ("mgbr-retrieval-v1") and fails when the min-over-cases
-recall@10 of the ANN + exact-re-rank pipeline against the brute-force
-reference falls below `ci_gate.retrieval.min_recall_at_10`, or the
-geometric-mean brute/two-stage speedup falls below
-`ci_gate.retrieval.min_speedup_geomean`. Recall is deterministic for
-the committed seeds (index construction is bit-identical by contract),
-so the recall floor holds exactly; the speedup floor is a ratio on one
-machine and carries ~2x headroom for runner noise.
-
-`--quant` mode — quantized-scoring agreement gate. Reads ONE
-bench_quant JSON report ("mgbr-quant-v1") and fails, per quantized
-mode (bf16, int8), when the min-over-cases top-10 overlap against the
-fp32 reference ranking falls below
-`ci_gate.quant.<mode>.min_topk_overlap`, the min-over-cases footprint
-ratio (fp32 bytes / quantized bytes) falls below
-`min_footprint_ratio`, or the geometric-mean fp32/quantized scoring
-speedup falls below `min_speedup`. Overlap and footprint are
-deterministic for the committed seeds (quantization is elementwise and
-exactly specified, scoring is bit-identical across thread counts by
-the kernel contract), so those floors hold exactly; the speedup floor
-is a timing ratio and carries large headroom for runner noise.
-
-`--chaos` mode — serving self-healing gate. Reads ONE bench_loadgen
---chaos JSON report ("mgbr-chaos-v1") and fails when the run crashed
-(crashes != 0 — and a crashed process writes no report at all, which
-fails the schema check), lost any request (every submitted request must
-reach exactly one terminal status), fell below the committed
-availability floor (`ci_gate.chaos.min_availability`), recorded any
-in-run violation, disagrees with the server's own lifetime counters
-(the chaos block is the harness's view, the server block the server's;
-they must reconcile exactly), or misses its schedule's recovery
-signature: corrupt-swap must reject both bad checkpoints, roll back
-once, and verify every OK response bitwise (score_mismatches == 0);
-worker-stall must restart at least one worker and complete every
-request; overload must reach the shed tier, shed actual load, and
-release back to normal.
-
-Every input file is schema-validated before any number is compared, so
-a truncated artifact or a format drift fails loudly instead of gating
-on garbage. `--self-test` runs the built-in unit tests (CI invokes it
-before trusting the gate).
-
-All floors are intentionally far below the dev-box numbers recorded in
-BENCH_baseline.json: CI runners are noisy, share cores, and build
-without -march=native, so the gates only exist to catch a real
-structural regression (a kernel edit that silently serializes, an eval
-refactor that reverts to per-instance scoring, a serving change that
-breaks batching or caching), not to enforce exact numbers.
-
-Usage:
-    check_bench_gate.py BENCH_baseline.json simd_on.json simd_off.json
-    check_bench_gate.py --eval BENCH_baseline.json serving.json
-    check_bench_gate.py --serving BENCH_baseline.json loadgen.json
-    check_bench_gate.py --retrieval BENCH_baseline.json retrieval.json
-    check_bench_gate.py --quant BENCH_baseline.json quant.json
-    check_bench_gate.py --chaos BENCH_baseline.json chaos.json
-    check_bench_gate.py --self-test
+Usage: check_bench_gate.py --<gate> BENCH_baseline.json REPORT... | --self-test
 """
 
+import copy
 import json
 import math
+import operator
+import os
 import sys
+from collections import namedtuple
 
 
 class SchemaError(Exception):
-    """An input file does not look like what the gate expects."""
+    """An input does not look like what its gate expects."""
 
 
-def _require(cond, message):
-    if not cond:
-        raise SchemaError(message)
+class Floor(str):
+    """A dotted key of BENCH_baseline.json's ci_gate block."""
 
 
-def validate_google_benchmark(data, path):
-    """Google-benchmark JSON: {"benchmarks": [{"run_name", "real_time"...}]}."""
-    _require(isinstance(data, dict), f"{path}: top level is not an object")
-    _require("benchmarks" in data, f"{path}: missing 'benchmarks' array")
-    _require(isinstance(data["benchmarks"], list),
-             f"{path}: 'benchmarks' is not an array")
-    _require(data["benchmarks"], f"{path}: 'benchmarks' is empty")
-    for i, bench in enumerate(data["benchmarks"]):
-        _require(isinstance(bench, dict),
-                 f"{path}: benchmarks[{i}] is not an object")
-        _require("run_name" in bench,
-                 f"{path}: benchmarks[{i}] missing 'run_name'")
-        if bench.get("aggregate_name") == "median":
-            _require(isinstance(bench.get("real_time"), (int, float)),
-                     f"{path}: median entry '{bench['run_name']}' has no "
-                     "numeric 'real_time'")
+class Sum(tuple):
+    """The sum of several report fields: Sum(("a.b", "c.d"))."""
 
 
-def validate_loadgen(data, path):
-    """bench_loadgen JSON: schema mgbr-loadgen-v1 (see bench_loadgen.cc)."""
-    _require(isinstance(data, dict), f"{path}: top level is not an object")
-    _require(data.get("schema") == "mgbr-loadgen-v1",
-             f"{path}: schema is {data.get('schema')!r}, "
-             "expected 'mgbr-loadgen-v1'")
-    for section in ("config", "results"):
-        _require(isinstance(data.get(section), dict),
-                 f"{path}: missing '{section}' object")
-    results = data["results"]
-    for key in ("offered", "completed", "qps", "shed_fraction"):
-        _require(isinstance(results.get(key), (int, float)),
-                 f"{path}: results.{key} missing or not numeric")
-    latency = results.get("latency_ms")
-    _require(isinstance(latency, dict), f"{path}: missing results.latency_ms")
-    for q in ("p50", "p90", "p99", "max"):
-        _require(isinstance(latency.get(q), (int, float)),
-                 f"{path}: results.latency_ms.{q} missing or not numeric")
+Lit = namedtuple("Lit", "value")
+Row = namedtuple("Row", "label value op bound reason")
+Each = namedtuple("Each", "block rows")
+By = namedtuple("By", "field cases")
+Gate = namedtuple("Gate", "inputs schema require rows")
+
+OPS = {">=": operator.ge, ">": operator.gt, "<=": operator.le,
+       "<": operator.lt, "==": operator.eq}
+KINDS = {"num": (int, float), "int": int, "bool": bool, "str": str,
+         "list": list, "dict": dict}
+KIND_OF = {Lit: "str", bool: "bool", list: "list"}  # a literal bound's kind
 
 
-def validate_retrieval(data, path):
-    """bench_retrieval JSON: schema mgbr-retrieval-v1 (bench_retrieval.cc)."""
-    _require(isinstance(data, dict), f"{path}: top level is not an object")
-    _require(data.get("schema") == "mgbr-retrieval-v1",
-             f"{path}: schema is {data.get('schema')!r}, "
-             "expected 'mgbr-retrieval-v1'")
-    config = data.get("config")
-    _require(isinstance(config, dict), f"{path}: missing 'config' object")
-    _require(isinstance(config.get("k"), int),
-             f"{path}: config.k missing or not an integer")
-    results = data.get("results")
-    _require(isinstance(results, dict), f"{path}: missing 'results' object")
-    for key in ("geomean_speedup", "min_recall_at_k"):
-        _require(isinstance(results.get(key), (int, float)),
-                 f"{path}: results.{key} missing or not numeric")
-    cases = results.get("cases")
-    _require(isinstance(cases, list) and cases,
-             f"{path}: results.cases missing or empty")
-    for i, case in enumerate(cases):
-        _require(isinstance(case, dict),
-                 f"{path}: results.cases[{i}] is not an object")
-        for key in ("name", "recall_at_k", "brute_ns", "two_stage_ns",
-                    "speedup"):
-            _require(key in case,
-                     f"{path}: results.cases[{i}] missing '{key}'")
+def lookup(data, path, kind="num", at=""):
+    """The value at dotted `path` in `data` (named `at` in errors), which must
+    be of `kind`. A "*" part checks every element of a non-empty list or
+    object instead, and returns None."""
+    if not path:
+        if not isinstance(data, KINDS[kind]):
+            raise SchemaError(f"{at} is {data!r}, expected {kind}")
+        return data
+    part, _, rest = path.partition(".")
+    if part == "*":
+        items = dict(enumerate(data)) if isinstance(data, list) else data
+        if not isinstance(items, dict) or not items:
+            raise SchemaError(f"{at} is missing or empty")
+        for key, item in items.items():
+            lookup(item, rest, kind, f"{at}.{key}")
+        return None
+    here = f"{at}.{part}" if at else part
+    if not isinstance(data, dict) or part not in data:
+        raise SchemaError(f"{here} missing")
+    return lookup(data[part], rest, kind, here)
 
 
-def validate_quant(data, path):
-    """bench_quant JSON: schema mgbr-quant-v1 (see bench_quant.cc)."""
-    _require(isinstance(data, dict), f"{path}: top level is not an object")
-    _require(data.get("schema") == "mgbr-quant-v1",
-             f"{path}: schema is {data.get('schema')!r}, "
-             "expected 'mgbr-quant-v1'")
-    config = data.get("config")
-    _require(isinstance(config, dict), f"{path}: missing 'config' object")
-    _require(isinstance(config.get("k"), int),
-             f"{path}: config.k missing or not an integer")
-    results = data.get("results")
-    _require(isinstance(results, dict), f"{path}: missing 'results' object")
-    cases = results.get("cases")
-    _require(isinstance(cases, list) and cases,
-             f"{path}: results.cases missing or empty")
-    for i, case in enumerate(cases):
-        _require(isinstance(case, dict),
-                 f"{path}: results.cases[{i}] is not an object")
-        for key in ("name", "mode", "topk_overlap", "kendall_tau",
-                    "footprint_ratio", "speedup"):
-            _require(key in case,
-                     f"{path}: results.cases[{i}] missing '{key}'")
-    modes = results.get("modes")
-    _require(isinstance(modes, dict) and modes,
-             f"{path}: results.modes missing or empty")
-    for mode, summary in modes.items():
-        _require(isinstance(summary, dict),
-                 f"{path}: results.modes.{mode} is not an object")
-        for key in ("min_topk_overlap", "min_footprint_ratio",
-                    "geomean_speedup"):
-            _require(isinstance(summary.get(key), (int, float)),
-                     f"{path}: results.modes.{mode}.{key} missing or not "
-                     "numeric")
+class Inputs:
+    """The ci_gate block and the reports, recording each path read."""
+
+    def __init__(self, ci, reports, names):
+        self.ci, self.reports, self.names, self.floors, self.fields = (
+            ci, reports, names, [], [])
+
+    def floor(self, path, kind="num"):
+        self.floors.append((path, kind))
+        return lookup(self.ci, path, kind, "ci_gate")
+
+    def field(self, path, kind="num", index=0):
+        self.fields.append(path)
+        return lookup(self.reports[index], path, kind, self.names[index])
 
 
-CHAOS_SCHEDULES = ("corrupt-swap", "worker-stall", "overload")
+def medians(data):
+    """run_name -> median real_time of one google-benchmark output."""
+    out = {b["run_name"]: lookup(b.get("real_time"), "", "num",
+                                 f"median real_time of {b['run_name']}")
+           for b in data["benchmarks"] if b.get("aggregate_name") == "median"}
+    if not out:
+        raise SchemaError("no median entries in the bench output")
+    return out
 
+
+def speedup(slow, fast, pairs):
+    """Geomean over (slow_run, fast_run) pairs of slow's median over fast's."""
+    missing = [run for pair in pairs for times, run in zip((slow, fast), pair)
+               if run not in times]
+    if missing or not pairs:
+        raise SchemaError(f"gate cases missing from bench output: {missing}")
+    return math.exp(sum(math.log(slow[s] / fast[f]) for s, f in pairs)
+                    / len(pairs))
+
+
+def simd_speedup(inputs):
+    on, off = map(medians, inputs.reports)
+    cases = inputs.floor("gate_cases", "list")
+    return speedup(off, on, [(case, case) for case in cases])
+
+
+def eval_speedup(inputs):
+    times = medians(inputs.reports[0])
+    return speedup(times, times, inputs.floor("eval_pairs", "list"))
+
+
+def telemetry_overhead(inputs):
+    disabled, enabled = (sum(medians(r).values()) for r in inputs.reports)
+    return disabled / enabled
+
+
+GOOGLE_BENCHMARK = ("benchmarks.*.run_name:str",)
+LOADGEN = ("loadgen.json",)
 CHAOS_COUNTERS = (
     "crashes", "offered", "terminal", "lost", "availability", "ok",
     "shed_queue_full", "shed_deadline", "shed_load", "other", "sampled",
     "score_mismatches", "worker_restarts", "max_degrade_level",
-    "final_degrade_level", "degrade_transitions",
+    "final_degrade_level", "degrade_transitions")
+SERVER_COUNTERS = (
+    "submitted", "admitted", "shed_queue_full", "shed_deadline", "shed_load",
+    "completed", "invalid", "worker_restarts")
+
+
+def reconciles(name, server_name=None):
+    server = f"server.{server_name or name}"
+    return Row(f"chaos.{name} = {server}", f"chaos.{name}", "==", server,
+               "the harness's and the server's accounting disagree")
+
+
+GATES = {
+    # bench_micro_engine with MGBR_SIMD=1, then MGBR_SIMD=0.
+    "simd": Gate(("simd_on.json", "simd_off.json"), None, GOOGLE_BENCHMARK, (
+        Row("simd-off/simd-on geomean", simd_speedup, ">=",
+            Floor("min_simd_speedup_geomean"),
+            "the vectorized kernels have regressed against the scalar ones"),
+    )),
+    # bench_serving's full-ranking passes, per-instance tape vs batched
+    # no-grad: a dedup factor (instances per unique user) fixed by the seed.
+    "eval": Gate(("serving.json",), None, GOOGLE_BENCHMARK, (
+        Row("tape/no-grad geomean", eval_speedup, ">=",
+            Floor("min_eval_nograd_speedup_geomean"),
+            "batched no-grad eval has regressed against per-instance tape"),
+    )),
+    # bench_micro_engine with telemetry and tracing off, then on: the run
+    # with them on does more work, so off may exceed it by noise only.
+    "telemetry-overhead": Gate(
+        ("disabled.json", "enabled.json"), None, GOOGLE_BENCHMARK, (
+            Row("disabled/enabled median sum", telemetry_overhead, "<=",
+                Floor("telemetry_overhead.max_ratio"),
+                "telemetry costs time when off (zero-cost-when-off contract)"),
+        )),
+    # bench_loadgen at a fixed offered load, exporter off.
+    "serving": Gate(LOADGEN, "mgbr-loadgen-v1", (
+        "results.offered", "results.completed", "results.latency_ms.p50",
+        "results.latency_ms.p90", "results.latency_ms.max"), (
+        Row("completed qps", "results.qps", ">=", Floor("serving_slo.min_qps"),
+            "batching/caching no longer sustains the offered load"),
+        Row("p99 latency ms", "results.latency_ms.p99", "<=",
+            Floor("serving_slo.max_p99_ms"), "tail latency has regressed"),
+        Row("shed fraction", "results.shed_fraction", "<=",
+            Floor("serving_slo.max_shed_fraction"), "load shed under the SLO"),
+    )),
+    # bench_loadgen's scrape run: its shed burst must dump the recorder.
+    "flight-dump": Gate(LOADGEN, "mgbr-loadgen-v1", (), (
+        Row("flight dumps", "server.flight_dumps", ">=", 1,
+            "the shed burst did not dump the flight recorder"),
+    )),
+    # bench_loadgen --retrieval=1: Task A served through the index.
+    "two-stage": Gate(LOADGEN, "mgbr-loadgen-v1", (), (
+        Row("retrieval enabled", "config.retrieval", "==", True,
+            "the run did not enable two-stage retrieval"),
+        Row("two-stage requests", "server.two_stage", ">", 0,
+            "no request was served through the two-stage path"),
+    )),
+    # bench_retrieval: two-stage top-10 against brute force.
+    "retrieval": Gate(("retrieval.json",), "mgbr-retrieval-v1", (
+        "config.k:int", "results.cases.*.name:str",
+        "results.cases.*.recall_at_k", "results.cases.*.brute_ns",
+        "results.cases.*.two_stage_ns", "results.cases.*.speedup"), (
+        Row("recall cutoff k", "config.k", "==", 10,
+            "the floors are for recall@10; run bench_retrieval --k=10"),
+        Row("min recall@10", "results.min_recall_at_k", ">=",
+            Floor("retrieval.min_recall_at_10"), "true top-10 items dropped"),
+        Row("speedup geomean", "results.geomean_speedup", ">=",
+            Floor("retrieval.min_speedup_geomean"),
+            "the two-stage path no longer beats brute-force scoring"),
+    )),
+    # bench_quant: each quantized mode's ranking against fp32.
+    "quant": Gate(("quant.json",), "mgbr-quant-v1", (
+        "config.k:int", "results.cases.*.name:str", "results.cases.*.mode:str",
+        "results.cases.*.topk_overlap", "results.cases.*.kendall_tau",
+        "results.cases.*.footprint_ratio", "results.cases.*.speedup",
+        "results.modes.*.min_topk_overlap",
+        "results.modes.*.min_footprint_ratio",
+        "results.modes.*.geomean_speedup"), (
+        Row("overlap cutoff k", "config.k", "==", 10,
+            "the floors are for top-10; run bench_quant --k=10"),
+        Each("quant", (
+            Row("{key} min overlap@10", "results.modes.{key}.min_topk_overlap",
+                ">=", Floor("quant.{key}.min_topk_overlap"),
+                "the quantized ranking no longer agrees with fp32"),
+            Row("{key} min footprint ratio",
+                "results.modes.{key}.min_footprint_ratio", ">=",
+                Floor("quant.{key}.min_footprint_ratio"),
+                "the quantized table does not deliver its storage cut"),
+            Row("{key} speedup geomean", "results.modes.{key}.geomean_speedup",
+                ">=", Floor("quant.{key}.min_speedup"),
+                "the quantized path no longer beats the fp32 scorer"),
+        )),
+    )),
+    # bench_loadgen --quant=int8: the server scores off the int8 view.
+    "quant-serving": Gate(LOADGEN, "mgbr-loadgen-v1", (), (
+        Row("quantized view", "quant.supported", "==", True,
+            "gbgcn must expose a quantized view"),
+        Row("quant mode", "quant.mode", "==", Lit("int8"),
+            "the run did not serve the int8 mode"),
+        Row("model bytes", "quant.model_bytes", "<", "quant.fp32_bytes",
+            "the served table is no smaller than fp32"),
+        Row("quant-scored requests", "server.quant_scored", ">", 0,
+            "no request was scored off the quantized view"),
+    )),
+    # bench_loadgen --chaos=<schedule>. A crashed run writes no report; the
+    # harness's chaos block and the server's own block must reconcile.
+    "chaos": Gate(("chaos.json",), "mgbr-chaos-v1", (
+        *(f"chaos.{name}" for name in CHAOS_COUNTERS), "chaos.violations:list",
+        "swap.swap_count", "swap.swap_rejected", "swap.rollbacks",
+        "swap.load_retries", *(f"server.{n}" for n in SERVER_COUNTERS)), (
+        Row("crashes", "chaos.crashes", "==", 0,
+            "the serving stack did not survive the schedule"),
+        Row("lost requests", "chaos.lost", "==", 0,
+            "the exactly-one-terminal-status contract is broken"),
+        Row("availability", "chaos.availability", ">=",
+            Floor("chaos.min_availability"), "too many requests failed"),
+        Row("in-run violations", "chaos.violations", "==", [],
+            "the harness saw a violation during the run"),
+        Row("chaos.terminal = sum of outcome classes", "chaos.terminal", "==",
+            Sum(("chaos.ok", "chaos.shed_queue_full", "chaos.shed_deadline",
+                 "chaos.shed_load", "chaos.other")),
+            "a terminal request has no outcome class"),
+        reconciles("offered", "submitted"),
+        *map(reconciles, ("shed_queue_full", "shed_deadline", "shed_load",
+                          "worker_restarts")),
+        By("config.schedule", {
+            "corrupt-swap": (
+                Row("swap rejections", "swap.swap_rejected", ">=", 2,
+                    "both the bit-flipped and the NaN checkpoint must fail"),
+                Row("rollbacks", "swap.rollbacks", ">=", 1,
+                    "Rollback() must restore the last-known-good version"),
+                Row("bitwise-verified responses", "chaos.sampled", ">", 0,
+                    "no OK response was verified against its version"),
+                Row("score mismatches", "chaos.score_mismatches", "==", 0,
+                    "version attribution is broken"),
+            ),
+            "worker-stall": (
+                Row("watchdog restarts", "chaos.worker_restarts", ">=", 1,
+                    "the stall was never detected"),
+                Row("ok requests", "chaos.ok", "==", "chaos.offered",
+                    "a watchdog restart dropped admitted work"),
+            ),
+            "overload": (
+                Row("peak degrade tier", "chaos.max_degrade_level", ">=", 4,
+                    "sustained overload must reach the shed tier (4)"),
+                Row("final degrade tier", "chaos.final_degrade_level", "==", 0,
+                    "the ladder must release once the burst stops"),
+                Row("load-shed requests", "chaos.shed_load", ">", 0,
+                    "the shed tier dropped no load at admission"),
+            ),
+        }),
+    )),
+}
+
+
+def resolve(term, kind, inputs):
+    if isinstance(term, Floor):
+        return inputs.floor(term)
+    if isinstance(term, Sum):
+        return sum(inputs.field(path) for path in term)
+    if isinstance(term, Lit):
+        return term.value
+    if isinstance(term, str):
+        return inputs.field(term, kind)
+    return term(inputs) if callable(term) else term
+
+
+def active_rows(rows, inputs):
+    for row in rows:
+        if isinstance(row, Each):
+            block = inputs.floor(row.block, "dict")
+            if not block:
+                raise SchemaError(f"ci_gate.{row.block} is empty")
+            for key in sorted(block):
+                yield from (Row(*(type(t)(t.format(key=key))
+                                  if isinstance(t, str) else t for t in r))
+                            for r in row.rows)
+        elif isinstance(row, By):
+            value = inputs.field(row.field, "str")
+            if value not in row.cases:
+                raise SchemaError(f"{row.field} is {value!r}, expected one "
+                                  f"of {sorted(row.cases)}")
+            yield from active_rows(row.cases[value], inputs)
+        else:
+            yield row
+
+
+def evaluate(gate, ci, reports, names=None):
+    """([(row, value, bound)] per row that applies, Inputs); raises first."""
+    names = names or [f"report {i + 1}" for i in range(len(reports))]
+    inputs = Inputs(ci, reports, names)
+    for index, name in enumerate(names):
+        if gate.schema is not None:
+            schema = inputs.field("schema", "str", index)
+            if schema != gate.schema:
+                raise SchemaError(f"{name}: schema is {schema!r}, expected "
+                                  f"{gate.schema!r}")
+        for spec in gate.require:
+            path, _, kind = spec.partition(":")
+            inputs.field(path, kind or "num", index)
+    rows = [(row, resolve(row.value, KIND_OF.get(type(row.bound), "num"),
+                          inputs), resolve(row.bound, "num", inputs))
+            for row in active_rows(gate.rows, inputs)]
+    return rows, inputs
+
+
+def failures(rows):
+    return [row.label for row, value, bound in rows
+            if not OPS[row.op](value, bound)]
+
+
+def load(path):
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except (OSError, ValueError) as e:
+        raise SchemaError(f"{path}: unreadable or not JSON ({e})") from None
+
+
+def run(name, baseline_path, report_paths):
+    try:
+        ci = lookup(load(baseline_path), "ci_gate", "dict", baseline_path)
+        rows, _ = evaluate(GATES[name], ci,
+                           [load(path) for path in report_paths], report_paths)
+    except SchemaError as e:
+        print(f"ERROR: {e}")
+        return 1
+    failed = failures(rows)
+    for row, value, bound in rows:
+        floor = isinstance(row.bound, Floor) and f" (ci_gate.{row.bound})"
+        print(f"{'FAIL' if row.label in failed else 'ok':4s}  {row.label}: "
+              f"{value!r} {row.op} {bound!r}{floor or ''}")
+        if row.label in failed:
+            print(f"ERROR: {row.reason}", *(
+                value if isinstance(value, list) else ()), sep="\nERROR:   ")
+    print(f"ERROR: the {name} gate fails." if failed else
+          f"OK: the {name} gate holds.")
+    return 1 if failed else 0
+
+
+# --- self-test, generated from the table ------------------------------------
+
+SIMD_ON = {"BM_DenseGemm/64": 1.0, "BM_MtlForwardBackward/64": 2.0}
+EVAL = {"BM_EvalFullRankA_TapePerInstance": 8.0,
+        "BM_EvalFullRankA_NoGradBatched": 2.0}
+SPMM = {"BM_SpMM/10000": 100.0}
+SAMPLE_CI = {
+    "gate_cases": list(SIMD_ON), "min_simd_speedup_geomean": 1.5,
+    "eval_pairs": [list(EVAL)], "min_eval_nograd_speedup_geomean": 2.5,
+    "telemetry_overhead": {"max_ratio": 1.02},
+    "serving_slo": dict(min_qps=2150, max_p99_ms=15.0, max_shed_fraction=0.01),
+    "retrieval": {"min_recall_at_10": 0.98, "min_speedup_geomean": 3.0},
+    "quant": {mode: dict(zip(("min_topk_overlap", "min_footprint_ratio",
+                              "min_speedup"), floors))
+              for mode, floors in (("bf16", (0.95, 2.0, 2.0)),
+                                   ("int8", (0.90, 3.5, 1.5)))},
+    "chaos": {"min_availability": 0.99},
+}
+
+
+def bench(times, scale=1):
+    """A google-benchmark output with the given median times."""
+    return {"benchmarks": [
+        {"run_name": run, "aggregate_name": "median", "real_time": t * scale}
+        for run, t in times.items()]}
+
+
+LOADGEN_SAMPLE = {
+    "schema": "mgbr-loadgen-v1", "config": {"retrieval": True},
+    "results": {"offered": 20000, "completed": 20000, "qps": 2500.0,
+                "shed_fraction": 0.0, "latency_ms": {
+                    "p50": 1.0, "p90": 1.5, "p99": 2.0, "max": 9.0}},
+    "server": {"flight_dumps": 1, "two_stage": 2170, "quant_scored": 900},
+    "quant": {"supported": True, "mode": "int8", "model_bytes": 2250,
+              "fp32_bytes": 8000},
+}
+RETRIEVAL_SAMPLE = {
+    "schema": "mgbr-retrieval-v1", "config": {"k": 10},
+    "results": {"cases": [{"name": "GBGCN", "recall_at_k": 0.99, "speedup": 6,
+                           "brute_ns": 6e5, "two_stage_ns": 1e5}],
+                "geomean_speedup": 6.0, "min_recall_at_k": 0.99},
+}
+QUANT_MODES = {"bf16": (0.99, 2.0, 3.5), "int8": (0.97, 3.56, 1.8)}
+QUANT_SAMPLE = {
+    "schema": "mgbr-quant-v1", "config": {"k": 10}, "results": {
+        "cases": [{"name": "GBGCN", "mode": mode, "topk_overlap": o,
+                   "kendall_tau": 0.997, "footprint_ratio": f, "speedup": s}
+                  for mode, (o, f, s) in QUANT_MODES.items()],
+        "modes": {mode: {"min_topk_overlap": o, "min_footprint_ratio": f,
+                         "geomean_speedup": s}
+                  for mode, (o, f, s) in QUANT_MODES.items()}}}
+
+
+def chaos_sample(schedule, n=256):
+    chaos = dict(dict.fromkeys(CHAOS_COUNTERS, 0), offered=n, terminal=n,
+                 ok=n, availability=1.0, sampled=n, violations=[])
+    server = dict(dict.fromkeys(SERVER_COUNTERS, 0), submitted=n, admitted=n,
+                  completed=n)
+    if schedule == "worker-stall":
+        chaos.update(worker_restarts=2, sampled=0)
+        server.update(worker_restarts=2)
+    if schedule == "overload":
+        chaos.update(ok=n - 60, shed_queue_full=40, shed_load=20, sampled=0,
+                     max_degrade_level=4)
+        server.update(shed_queue_full=40, shed_load=20)
+    return {"schema": "mgbr-chaos-v1", "config": {"schedule": schedule},
+            "chaos": chaos, "server": server, "swap": dict(
+                swap_count=2, swap_rejected=2, rollbacks=1, load_retries=0)}
+
+
+# (sample, gate, passing reports, reports failing a computed row or None).
+SAMPLES = (
+    ("simd", "simd", [bench(SIMD_ON), bench(SIMD_ON, 4.0)],
+     [bench(SIMD_ON), bench(SIMD_ON, 1.2)]),
+    ("eval", "eval", [bench(EVAL)],
+     [bench(dict(EVAL, BM_EvalFullRankA_TapePerInstance=4.0))]),
+    ("telemetry-overhead", "telemetry-overhead",
+     [bench(SPMM), bench(SPMM, 1.01)], [bench(SPMM, 1.05), bench(SPMM)]),
+    *((gate, gate, [LOADGEN_SAMPLE], None)
+      for gate in ("serving", "flight-dump", "two-stage", "quant-serving")),
+    ("retrieval", "retrieval", [RETRIEVAL_SAMPLE], None),
+    ("quant", "quant", [QUANT_SAMPLE], None),
+    *((f"chaos/{s}", "chaos", [chaos_sample(s)], None)
+      for s in ("corrupt-swap", "worker-stall", "overload")),
 )
 
 
-def validate_chaos(data, path):
-    """bench_loadgen --chaos JSON: schema mgbr-chaos-v1 (bench_loadgen.cc)."""
-    _require(isinstance(data, dict), f"{path}: top level is not an object")
-    _require(data.get("schema") == "mgbr-chaos-v1",
-             f"{path}: schema is {data.get('schema')!r}, "
-             "expected 'mgbr-chaos-v1'")
-    config = data.get("config")
-    _require(isinstance(config, dict), f"{path}: missing 'config' object")
-    _require(config.get("schedule") in CHAOS_SCHEDULES,
-             f"{path}: config.schedule is {config.get('schedule')!r}, "
-             f"expected one of {CHAOS_SCHEDULES}")
-    chaos = data.get("chaos")
-    _require(isinstance(chaos, dict), f"{path}: missing 'chaos' object")
-    for key in CHAOS_COUNTERS:
-        _require(isinstance(chaos.get(key), (int, float)),
-                 f"{path}: chaos.{key} missing or not numeric")
-    _require(isinstance(chaos.get("violations"), list),
-             f"{path}: chaos.violations missing or not a list")
-    swap = data.get("swap")
-    _require(isinstance(swap, dict), f"{path}: missing 'swap' object")
-    for key in ("swap_count", "swap_rejected", "rollbacks", "load_retries"):
-        _require(isinstance(swap.get(key), (int, float)),
-                 f"{path}: swap.{key} missing or not numeric")
-    server = data.get("server")
-    _require(isinstance(server, dict), f"{path}: missing 'server' object")
-    for key in ("submitted", "admitted", "shed_queue_full", "shed_deadline",
-                "shed_load", "completed", "invalid", "worker_restarts"):
-        _require(isinstance(server.get(key), (int, float)),
-                 f"{path}: server.{key} missing or not numeric")
+def walk(data, path):
+    """The holder of `path`'s last part ("*" takes the first element)."""
+    *parents, last = path.split(".")
+    for part in parents:
+        data = (data[part] if part != "*" else data[0]
+                if isinstance(data, list) else next(iter(data.values())))
+    return data, last
 
 
-def validate_chaos_floors(floors, path):
-    """The ci_gate.chaos block of BENCH_baseline.json."""
-    _require(isinstance(floors, dict), f"{path}: ci_gate.chaos missing")
-    _require(isinstance(floors.get("min_availability"), (int, float)),
-             f"{path}: ci_gate.chaos.min_availability missing or not numeric")
-
-
-def validate_quant_floors(floors, path):
-    """The ci_gate.quant block of BENCH_baseline.json (per-mode floors)."""
-    _require(isinstance(floors, dict) and floors,
-             f"{path}: ci_gate.quant missing or empty")
-    for mode, block in floors.items():
-        _require(isinstance(block, dict),
-                 f"{path}: ci_gate.quant.{mode} is not an object")
-        for key in ("min_topk_overlap", "min_footprint_ratio", "min_speedup"):
-            _require(isinstance(block.get(key), (int, float)),
-                     f"{path}: ci_gate.quant.{mode}.{key} missing or not "
-                     "numeric")
-
-
-def validate_retrieval_floors(floors, path):
-    """The ci_gate.retrieval block of BENCH_baseline.json."""
-    _require(isinstance(floors, dict), f"{path}: ci_gate.retrieval missing")
-    for key in ("min_recall_at_10", "min_speedup_geomean"):
-        _require(isinstance(floors.get(key), (int, float)),
-                 f"{path}: ci_gate.retrieval.{key} missing or not numeric")
-
-
-def validate_serving_slo(slo, path):
-    """The ci_gate.serving_slo block of BENCH_baseline.json."""
-    _require(isinstance(slo, dict), f"{path}: ci_gate.serving_slo missing")
-    for key in ("min_qps", "max_p99_ms", "max_shed_fraction"):
-        _require(isinstance(slo.get(key), (int, float)),
-                 f"{path}: ci_gate.serving_slo.{key} missing or not numeric")
-
-
-def load_json(path, validator):
-    try:
-        with open(path) as f:
-            data = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        raise SchemaError(f"{path}: unreadable or invalid JSON ({e})")
-    validator(data, path)
+def without(data, path, *value):
+    """A copy of `data` without `path`, or with `path` set to `value`."""
+    data = copy.deepcopy(data)
+    holder, key = walk(data, path)
+    del holder[key]
+    if value:
+        holder[key] = value[0]
     return data
 
 
-def medians(path):
-    data = load_json(path, validate_google_benchmark)
-    out = {}
-    for bench in data["benchmarks"]:
-        if bench.get("aggregate_name") == "median":
-            out[bench["run_name"]] = bench["real_time"]
-    return out
+def break_only(report, target, rows):
+    """Sets the target row's field so that the row fails, then moves every
+    field an == row ties to it by the same amount, so no other row breaks."""
+    row, _, bound = target
 
-
-def geomean(ratios):
-    return math.exp(sum(math.log(r) for r in ratios) / len(ratios))
-
-
-def simd_gate(baseline, on_path, off_path):
-    gate = baseline["ci_gate"]
-    cases = gate["gate_cases"]
-    floor = gate["min_simd_speedup_geomean"]
-
-    on = medians(on_path)
-    off = medians(off_path)
-    missing = [c for c in cases if c not in on or c not in off]
-    if missing:
-        print(f"ERROR: gate cases missing from bench output: {missing}")
-        return 1
-
-    ratios = {c: off[c] / on[c] for c in cases}
-    gm = geomean(ratios.values())
-    for case, ratio in sorted(ratios.items()):
-        print(f"{case:35s} simd-off/simd-on = {ratio:6.2f}x")
-    print(f"{'geomean':35s} {gm:6.2f}x (floor {floor:.2f}x)")
-    if gm < floor:
-        print(
-            f"ERROR: simd speedup geomean {gm:.2f}x is below the "
-            f"committed floor {floor:.2f}x — the vectorized variants have "
-            "regressed relative to the scalar ones."
-        )
-        return 1
-    print("OK: simd kernels clear the regression floor.")
-    return 0
-
-
-def eval_gate(baseline, serving_path):
-    gate = baseline["ci_gate"]
-    pairs = gate["eval_pairs"]
-    floor = gate["min_eval_nograd_speedup_geomean"]
-
-    times = medians(serving_path)
-    missing = [n for pair in pairs for n in pair if n not in times]
-    if missing:
-        print(f"ERROR: eval gate cases missing from bench output: {missing}")
-        return 1
-
-    ratios = {}
-    for tape, nograd in pairs:
-        ratios[nograd] = times[tape] / times[nograd]
-    gm = geomean(ratios.values())
-    for case, ratio in sorted(ratios.items()):
-        print(f"{case:45s} tape/no-grad = {ratio:6.2f}x")
-    print(f"{'geomean':45s} {gm:6.2f}x (floor {floor:.2f}x)")
-    if gm < floor:
-        print(
-            f"ERROR: no-grad eval speedup geomean {gm:.2f}x is below the "
-            f"committed floor {floor:.2f}x — the batched inference path has "
-            "regressed relative to per-instance tape evaluation."
-        )
-        return 1
-    print("OK: the no-grad eval path clears the regression floor.")
-    return 0
-
-
-def serving_gate(baseline, loadgen_path):
-    slo = baseline.get("ci_gate", {}).get("serving_slo")
-    validate_serving_slo(slo, "baseline")
-    report = load_json(loadgen_path, validate_loadgen)
-    results = report["results"]
-
-    qps = results["qps"]
-    p99 = results["latency_ms"]["p99"]
-    shed = results["shed_fraction"]
-    print(f"{'offered':20s} {report['config'].get('offered_qps')} qps "
-          f"for {report['config'].get('duration_s')}s")
-    print(f"{'completed qps':20s} {qps:10.1f} (floor {slo['min_qps']:.0f})")
-    print(f"{'p99 latency':20s} {p99:10.3f} ms "
-          f"(ceiling {slo['max_p99_ms']:.1f} ms)")
-    print(f"{'shed fraction':20s} {shed:10.4f} "
-          f"(ceiling {slo['max_shed_fraction']:.4f})")
-
-    failures = []
-    if qps < slo["min_qps"]:
-        failures.append(
-            f"completed QPS {qps:.1f} is below the floor {slo['min_qps']:.0f}"
-            " — batching/caching no longer sustains the offered load")
-    if p99 > slo["max_p99_ms"]:
-        failures.append(
-            f"p99 latency {p99:.3f} ms exceeds the ceiling "
-            f"{slo['max_p99_ms']:.1f} ms — tail latency has regressed")
-    if shed > slo["max_shed_fraction"]:
-        failures.append(
-            f"shed fraction {shed:.4f} exceeds the ceiling "
-            f"{slo['max_shed_fraction']:.4f} — the server is load-shedding "
-            "at an offered load it must absorb")
-    for failure in failures:
-        print(f"ERROR: {failure}")
-    if failures:
-        return 1
-    print("OK: the serving layer meets the latency SLO.")
-    return 0
-
-
-def retrieval_gate(baseline, retrieval_path):
-    floors = baseline.get("ci_gate", {}).get("retrieval")
-    validate_retrieval_floors(floors, "baseline")
-    report = load_json(retrieval_path, validate_retrieval)
-    results = report["results"]
-
-    k = report["config"]["k"]
-    if k != 10:
-        print(f"ERROR: report measured recall@{k}; the committed floor is "
-              "recall@10 — run bench_retrieval with --k=10")
-        return 1
-    for case in results["cases"]:
-        print(f"{case['name']:12s} recall@10 = {case['recall_at_k']:.4f}  "
-              f"speedup = {case['speedup']:6.2f}x "
-              f"(brute {case['brute_ns']:.0f} ns, "
-              f"two-stage {case['two_stage_ns']:.0f} ns)")
-    min_recall = results["min_recall_at_k"]
-    gm = results["geomean_speedup"]
-    print(f"{'min recall@10':12s} {min_recall:10.4f} "
-          f"(floor {floors['min_recall_at_10']:.4f})")
-    print(f"{'geomean':12s} {gm:9.2f}x "
-          f"(floor {floors['min_speedup_geomean']:.2f}x)")
-
-    failures = []
-    if min_recall < floors["min_recall_at_10"]:
-        failures.append(
-            f"min recall@10 {min_recall:.4f} is below the floor "
-            f"{floors['min_recall_at_10']:.4f} — the candidate generator "
-            "is dropping true top-10 items it must surface")
-    if gm < floors["min_speedup_geomean"]:
-        failures.append(
-            f"speedup geomean {gm:.2f}x is below the floor "
-            f"{floors['min_speedup_geomean']:.2f}x — the two-stage path "
-            "no longer beats brute-force scoring")
-    for failure in failures:
-        print(f"ERROR: {failure}")
-    if failures:
-        return 1
-    print("OK: two-stage retrieval clears the recall and speedup floors.")
-    return 0
-
-
-def quant_gate(baseline, quant_path):
-    floors = baseline.get("ci_gate", {}).get("quant")
-    validate_quant_floors(floors, "baseline")
-    report = load_json(quant_path, validate_quant)
-    results = report["results"]
-
-    k = report["config"]["k"]
-    if k != 10:
-        print(f"ERROR: report measured top-{k} overlap; the committed "
-              "floors are top-10 — run bench_quant with --k=10")
-        return 1
-    for case in results["cases"]:
-        print(f"{case['name']:10s} {case['mode']:5s} "
-              f"overlap@10 = {case['topk_overlap']:.4f}  "
-              f"tau = {case['kendall_tau']:.4f}  "
-              f"footprint = {case['footprint_ratio']:.2f}x  "
-              f"speedup = {case['speedup']:6.2f}x")
-
-    failures = []
-    for mode, floor in sorted(floors.items()):
-        summary = results["modes"].get(mode)
-        if summary is None:
-            failures.append(
-                f"mode '{mode}' has committed floors but no results — "
-                "bench_quant no longer measures it")
-            continue
-        overlap = summary["min_topk_overlap"]
-        footprint = summary["min_footprint_ratio"]
-        speedup = summary["geomean_speedup"]
-        print(f"{mode:5s} min overlap@10 {overlap:7.4f} "
-              f"(floor {floor['min_topk_overlap']:.4f})  "
-              f"min footprint {footprint:5.2f}x "
-              f"(floor {floor['min_footprint_ratio']:.2f}x)  "
-              f"geomean speedup {speedup:6.2f}x "
-              f"(floor {floor['min_speedup']:.2f}x)")
-        if overlap < floor["min_topk_overlap"]:
-            failures.append(
-                f"{mode} min top-10 overlap {overlap:.4f} is below the "
-                f"floor {floor['min_topk_overlap']:.4f} — the quantized "
-                "ranking no longer agrees with the fp32 reference")
-        if footprint < floor["min_footprint_ratio"]:
-            failures.append(
-                f"{mode} min footprint ratio {footprint:.2f}x is below the "
-                f"floor {floor['min_footprint_ratio']:.2f}x — the quantized "
-                "table is not delivering its storage reduction")
-        if speedup < floor["min_speedup"]:
-            failures.append(
-                f"{mode} scoring speedup geomean {speedup:.2f}x is below "
-                f"the floor {floor['min_speedup']:.2f}x — the quantized "
-                "path no longer beats the fp32 reference scorer")
-    for failure in failures:
-        print(f"ERROR: {failure}")
-    if failures:
-        return 1
-    print("OK: quantized scoring clears the agreement, footprint and "
-          "speedup floors.")
-    return 0
-
-
-def chaos_gate(baseline, chaos_path):
-    floors = baseline.get("ci_gate", {}).get("chaos")
-    validate_chaos_floors(floors, "baseline")
-    report = load_json(chaos_path, validate_chaos)
-    schedule = report["config"]["schedule"]
-    chaos = report["chaos"]
-    swap = report["swap"]
-    server = report["server"]
-
-    print(f"{'schedule':20s} {schedule}")
-    print(f"{'offered':20s} {chaos['offered']:10.0f}")
-    print(f"{'terminal':20s} {chaos['terminal']:10.0f} "
-          f"(lost {chaos['lost']:.0f})")
-    print(f"{'availability':20s} {chaos['availability']:10.4f} "
-          f"(floor {floors['min_availability']:.4f})")
-    print(f"{'ok/shed q/d/l':20s} {chaos['ok']:.0f} / "
-          f"{chaos['shed_queue_full']:.0f} / {chaos['shed_deadline']:.0f} / "
-          f"{chaos['shed_load']:.0f}")
-
-    failures = []
-    if chaos["crashes"] != 0:
-        failures.append(f"run recorded {chaos['crashes']:.0f} crashes — the "
-                        "serving stack did not survive the schedule")
-    if chaos["lost"] != 0:
-        failures.append(
-            f"{chaos['lost']:.0f} requests vanished without a terminal "
-            "status — the exactly-one-terminal-status contract is broken")
-    if chaos["availability"] < floors["min_availability"]:
-        failures.append(
-            f"availability {chaos['availability']:.4f} is below the floor "
-            f"{floors['min_availability']:.4f}")
-    for violation in chaos["violations"]:
-        failures.append(f"in-run violation: {violation}")
-
-    # The chaos block is the harness's request-by-request accounting, the
-    # server block the server's own lifetime counters: any disagreement
-    # means one of them is lying.
-    recon = (
-        ("terminal", chaos["terminal"],
-         chaos["ok"] + chaos["shed_queue_full"] + chaos["shed_deadline"]
-         + chaos["shed_load"] + chaos["other"], "sum of outcome classes"),
-        ("offered", chaos["offered"], server["submitted"],
-         "server.submitted"),
-        ("shed_queue_full", chaos["shed_queue_full"],
-         server["shed_queue_full"], "server.shed_queue_full"),
-        ("shed_deadline", chaos["shed_deadline"], server["shed_deadline"],
-         "server.shed_deadline"),
-        ("shed_load", chaos["shed_load"], server["shed_load"],
-         "server.shed_load"),
-        ("worker_restarts", chaos["worker_restarts"],
-         server["worker_restarts"], "server.worker_restarts"),
-    )
-    for name, got, want, what in recon:
-        if got != want:
-            failures.append(
-                f"chaos.{name} ({got:.0f}) does not reconcile with "
-                f"{what} ({want:.0f})")
-
-    # Schedule-specific recovery signature, re-asserted independently of
-    # the harness's own in-run Expect()s.
-    if schedule == "corrupt-swap":
-        if swap["swap_rejected"] < 2:
-            failures.append(
-                f"only {swap['swap_rejected']:.0f} swap rejections — both "
-                "the bit-flipped and the NaN checkpoint must be rejected")
-        if swap["rollbacks"] < 1:
-            failures.append("no rollback recorded — Rollback() must restore "
-                            "the last-known-good version")
-        if chaos["sampled"] == 0:
-            failures.append("no OK responses were bitwise-verified")
-        if chaos["score_mismatches"] != 0:
-            failures.append(
-                f"{chaos['score_mismatches']:.0f} responses diverged from "
-                "their version's direct scores — version attribution is "
-                "broken")
-    elif schedule == "worker-stall":
-        if chaos["worker_restarts"] < 1:
-            failures.append("watchdog replaced no workers — the stall was "
-                            "never detected")
-        if chaos["ok"] != chaos["offered"]:
-            failures.append(
-                f"only {chaos['ok']:.0f}/{chaos['offered']:.0f} requests "
-                "completed OK — a watchdog restart dropped admitted work")
-    elif schedule == "overload":
-        if chaos["max_degrade_level"] < 4:
-            failures.append(
-                f"ladder peaked at tier {chaos['max_degrade_level']:.0f} — "
-                "sustained overload must reach the shed tier (4)")
-        if chaos["final_degrade_level"] != 0:
-            failures.append(
-                f"ladder finished at tier {chaos['final_degrade_level']:.0f}"
-                " — it must release to normal once the burst stops")
-        if chaos["shed_load"] == 0:
-            failures.append("shed tier dropped no load — kShedLoad never "
-                            "fired at admission")
-
-    for failure in failures:
-        print(f"ERROR: {failure}")
-    if failures:
-        return 1
-    print(f"OK: serving survived the {schedule} chaos schedule.")
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# Self-test (pytest-style asserts, zero dependencies; CI runs this first).
-# ---------------------------------------------------------------------------
-
-
-def _expect_schema_error(fn, *args):
-    try:
-        fn(*args)
-    except SchemaError:
-        return True
-    return False
+    def fields_of(term):  # the report fields a bound reads
+        return term if isinstance(term, Sum) else (
+            (term,) if type(term) is str else ())
+    new = (not bound if isinstance(bound, bool) else
+           ["injected violation"] if isinstance(bound, list) else
+           bound + "?" if isinstance(bound, str) else
+           bound + {">=": -1, ">": 0, "<=": 1, "<": 0, "==": 1}[row.op])
+    holder, key = walk(report, row.value)
+    old, holder[key] = holder[key], new
+    links = [(r.value, fields_of(r.bound)) for r, _, _ in rows
+             if r.op == "==" and r is not row and fields_of(r.bound)]
+    moved = [row.value] if type(new) in (int, float) else []
+    while moved:
+        path = moved.pop()
+        for value, bounds in list(links):
+            tied = (value if path in bounds else
+                    bounds[0] if path == value and len(bounds) == 1 else None)
+            if tied:
+                links.remove((value, bounds))
+                holder, key = walk(report, tied)
+                holder[key] += new - old
+                moved.append(tied)
 
 
 def self_test():
-    import os
-    import tempfile
+    results = []
 
-    checks = []
+    def case(name, ok):
+        results.append((name, ok))
 
-    def check(name, ok):
-        checks.append((name, ok))
-        print(f"{'ok' if ok else 'FAIL':4s} {name}")
-
-    # geomean sanity.
-    check("geomean_identity", abs(geomean([2.0, 8.0]) - 4.0) < 1e-12)
-
-    # Google-benchmark schema validation.
-    good_gb = {"benchmarks": [
-        {"run_name": "BM_X", "aggregate_name": "median", "real_time": 2.0}]}
-    validate_google_benchmark(good_gb, "mem")
-    check("gb_accepts_valid", True)
-    check("gb_rejects_no_benchmarks",
-          _expect_schema_error(validate_google_benchmark, {}, "mem"))
-    check("gb_rejects_bad_median",
-          _expect_schema_error(
-              validate_google_benchmark,
-              {"benchmarks": [{"run_name": "b", "aggregate_name": "median",
-                               "real_time": "fast"}]}, "mem"))
-
-    # Loadgen schema validation.
-    def loadgen_report(qps=2500.0, p99=2.0, shed=0.0):
-        return {
-            "schema": "mgbr-loadgen-v1",
-            "config": {"offered_qps": 2500, "duration_s": 8},
-            "results": {
-                "offered": 20000, "completed": 20000, "qps": qps,
-                "shed_fraction": shed,
-                "latency_ms": {"p50": 1.0, "p90": 1.5, "p99": p99,
-                               "max": 10.0},
-            },
-        }
-
-    validate_loadgen(loadgen_report(), "mem")
-    check("loadgen_accepts_valid", True)
-    check("loadgen_rejects_wrong_schema",
-          _expect_schema_error(
-              validate_loadgen, {"schema": "v0"}, "mem"))
-    bad = loadgen_report()
-    del bad["results"]["latency_ms"]["p99"]
-    check("loadgen_rejects_missing_p99",
-          _expect_schema_error(validate_loadgen, bad, "mem"))
-
-    # Serving gate verdicts against an in-memory baseline.
-    baseline = {"ci_gate": {"serving_slo": {
-        "min_qps": 2150, "max_p99_ms": 15.0, "max_shed_fraction": 0.01}}}
-
-    def run_serving(report):
-        with tempfile.NamedTemporaryFile(
-                "w", suffix=".json", delete=False) as f:
-            json.dump(report, f)
-            path = f.name
+    def raises(fn, *args):
         try:
-            return serving_gate(baseline, path)
-        finally:
-            os.unlink(path)
+            fn(*args)
+        except SchemaError:
+            return True
+        return False
 
-    check("serving_passes_within_slo", run_serving(loadgen_report()) == 0)
-    check("serving_fails_low_qps",
-          run_serving(loadgen_report(qps=1000.0)) == 1)
-    check("serving_fails_high_p99",
-          run_serving(loadgen_report(p99=50.0)) == 1)
-    check("serving_fails_high_shed",
-          run_serving(loadgen_report(shed=0.2)) == 1)
-    check("serving_rejects_malformed_baseline",
-          _expect_schema_error(validate_serving_slo, None, "baseline"))
+    def verdict(gate, reports):  # the labels of the rows that fail
+        return failures(evaluate(gate, SAMPLE_CI, reports)[0])
 
-    # Retrieval gate verdicts against an in-memory baseline.
-    def retrieval_report(recall=0.99, speedup=6.0, k=10):
-        case = {"name": "GBGCN", "recall_at_k": recall, "brute_ns": 1e6,
-                "two_stage_ns": 1e6 / speedup, "speedup": speedup}
-        return {
-            "schema": "mgbr-retrieval-v1",
-            "config": {"n_items": 20000, "k": k, "queries": 200},
-            "results": {"cases": [case], "geomean_speedup": speedup,
-                        "min_recall_at_k": recall},
-        }
-
-    validate_retrieval(retrieval_report(), "mem")
-    check("retrieval_accepts_valid", True)
-    check("retrieval_rejects_wrong_schema",
-          _expect_schema_error(
-              validate_retrieval, {"schema": "mgbr-loadgen-v1"}, "mem"))
-    bad = retrieval_report()
-    del bad["results"]["cases"][0]["recall_at_k"]
-    check("retrieval_rejects_missing_recall",
-          _expect_schema_error(validate_retrieval, bad, "mem"))
-
-    retrieval_baseline = {"ci_gate": {"retrieval": {
-        "min_recall_at_10": 0.98, "min_speedup_geomean": 3.0}}}
-
-    def run_retrieval(report):
-        with tempfile.NamedTemporaryFile(
-                "w", suffix=".json", delete=False) as f:
-            json.dump(report, f)
-            path = f.name
-        try:
-            return retrieval_gate(retrieval_baseline, path)
-        finally:
-            os.unlink(path)
-
-    check("retrieval_passes_within_floors",
-          run_retrieval(retrieval_report()) == 0)
-    check("retrieval_fails_low_recall",
-          run_retrieval(retrieval_report(recall=0.9)) == 1)
-    check("retrieval_fails_low_speedup",
-          run_retrieval(retrieval_report(speedup=1.2)) == 1)
-    check("retrieval_fails_wrong_k",
-          run_retrieval(retrieval_report(k=100)) == 1)
-    check("retrieval_rejects_malformed_baseline",
-          _expect_schema_error(validate_retrieval_floors, None, "baseline"))
-
-    # Quant gate verdicts against an in-memory baseline.
-    def quant_report(overlap=0.99, footprint=3.5, speedup=7.0, k=10,
-                     mode="int8"):
-        case = {"name": "GBGCN", "mode": mode, "topk_overlap": overlap,
-                "kendall_tau": 0.997, "footprint_ratio": footprint,
-                "speedup": speedup}
-        return {
-            "schema": "mgbr-quant-v1",
-            "config": {"n_items": 20000, "k": k, "queries": 200},
-            "results": {
-                "cases": [case],
-                "modes": {mode: {"min_topk_overlap": overlap,
-                                 "mean_kendall_tau": 0.997,
-                                 "min_footprint_ratio": footprint,
-                                 "geomean_speedup": speedup,
-                                 "n_cases": 1}},
-            },
-        }
-
-    validate_quant(quant_report(), "mem")
-    check("quant_accepts_valid", True)
-    check("quant_rejects_wrong_schema",
-          _expect_schema_error(
-              validate_quant, {"schema": "mgbr-retrieval-v1"}, "mem"))
-    bad = quant_report()
-    del bad["results"]["modes"]["int8"]["min_topk_overlap"]
-    check("quant_rejects_missing_overlap",
-          _expect_schema_error(validate_quant, bad, "mem"))
-
-    quant_baseline = {"ci_gate": {"quant": {"int8": {
-        "min_topk_overlap": 0.90, "min_footprint_ratio": 3.5,
-        "min_speedup": 1.5}}}}
-
-    def run_quant(report):
-        with tempfile.NamedTemporaryFile(
-                "w", suffix=".json", delete=False) as f:
-            json.dump(report, f)
-            path = f.name
-        try:
-            return quant_gate(quant_baseline, path)
-        finally:
-            os.unlink(path)
-
-    check("quant_passes_within_floors", run_quant(quant_report()) == 0)
-    check("quant_fails_low_overlap",
-          run_quant(quant_report(overlap=0.8)) == 1)
-    check("quant_fails_low_footprint",
-          run_quant(quant_report(footprint=2.0)) == 1)
-    check("quant_fails_low_speedup",
-          run_quant(quant_report(speedup=1.0)) == 1)
-    check("quant_fails_wrong_k", run_quant(quant_report(k=100)) == 1)
-    check("quant_fails_missing_mode",
-          run_quant(quant_report(mode="bf16")) == 1)
-    check("quant_rejects_malformed_baseline",
-          _expect_schema_error(validate_quant_floors, None, "baseline"))
-
-    # Chaos gate verdicts against an in-memory baseline.
-    def chaos_report(schedule="corrupt-swap", **overrides):
-        offered = overrides.pop("offered", 256)
-        chaos = {
-            "crashes": 0, "offered": offered, "terminal": offered,
-            "lost": 0, "availability": 1.0, "ok": offered,
-            "shed_queue_full": 0, "shed_deadline": 0, "shed_load": 0,
-            "other": 0, "sampled": offered, "score_mismatches": 0,
-            "worker_restarts": 0, "max_degrade_level": 0,
-            "final_degrade_level": 0, "degrade_transitions": 0,
-            "violations": [],
-        }
-        swap = {"swap_count": 2, "swap_rejected": 2, "rollbacks": 1,
-                "load_retries": 0}
-        server = {"submitted": offered, "admitted": offered,
-                  "shed_queue_full": 0, "shed_deadline": 0, "shed_load": 0,
-                  "completed": offered, "invalid": 0, "worker_restarts": 0}
-        if schedule == "worker-stall":
-            chaos["worker_restarts"] = server["worker_restarts"] = 2
-            chaos["sampled"] = 0
-        if schedule == "overload":
-            chaos.update(ok=offered - 60, shed_queue_full=40, shed_load=20,
-                         sampled=0, max_degrade_level=4,
-                         degrade_transitions=8)
-            server.update(admitted=offered - 60, completed=offered - 60,
-                          shed_queue_full=40, shed_load=20)
-        for key, value in overrides.items():
-            (chaos if key in chaos else swap)[key] = value
-        return {"schema": "mgbr-chaos-v1",
-                "config": {"schedule": schedule, "n_workers": 2,
-                           "fast": True},
-                "chaos": chaos, "swap": swap, "server": server}
-
-    validate_chaos(chaos_report(), "mem")
-    check("chaos_accepts_valid", True)
-    check("chaos_rejects_wrong_schema",
-          _expect_schema_error(
-              validate_chaos, {"schema": "mgbr-loadgen-v1"}, "mem"))
-    check("chaos_rejects_unknown_schedule",
-          _expect_schema_error(validate_chaos, chaos_report("smoke"), "mem"))
-    bad = chaos_report()
-    del bad["chaos"]["crashes"]
-    check("chaos_rejects_missing_crashes",
-          _expect_schema_error(validate_chaos, bad, "mem"))
-
-    chaos_baseline = {"ci_gate": {"chaos": {"min_availability": 0.99}}}
-
-    def run_chaos(report):
-        with tempfile.NamedTemporaryFile(
-                "w", suffix=".json", delete=False) as f:
-            json.dump(report, f)
-            path = f.name
-        try:
-            return chaos_gate(chaos_baseline, path)
-        finally:
-            os.unlink(path)
-
-    for schedule in CHAOS_SCHEDULES:
-        check(f"chaos_passes_{schedule}",
-              run_chaos(chaos_report(schedule)) == 0)
-    check("chaos_fails_crashed", run_chaos(chaos_report(crashes=1)) == 1)
-    check("chaos_fails_lost_request",
-          run_chaos(chaos_report(lost=1, terminal=255)) == 1)
-    check("chaos_fails_low_availability",
-          run_chaos(chaos_report(availability=0.5)) == 1)
-    check("chaos_fails_in_run_violation",
-          run_chaos(chaos_report(violations=["boom"])) == 1)
-    skewed = chaos_report()
-    skewed["server"]["submitted"] += 10
-    check("chaos_fails_counter_mismatch", run_chaos(skewed) == 1)
-    check("chaos_fails_missing_rejections",
-          run_chaos(chaos_report(swap_rejected=0)) == 1)
-    check("chaos_fails_missing_rollback",
-          run_chaos(chaos_report(rollbacks=0)) == 1)
-    check("chaos_fails_score_mismatch",
-          run_chaos(chaos_report(score_mismatches=3)) == 1)
-    stall = chaos_report("worker-stall")
-    stall["chaos"]["worker_restarts"] = stall["server"]["worker_restarts"] = 0
-    check("chaos_fails_no_restart", run_chaos(stall) == 1)
-    check("chaos_fails_ladder_short",
-          run_chaos(chaos_report("overload", max_degrade_level=3)) == 1)
-    check("chaos_fails_ladder_stuck",
-          run_chaos(chaos_report("overload", final_degrade_level=4)) == 1)
-    check("chaos_rejects_malformed_baseline",
-          _expect_schema_error(validate_chaos_floors, None, "baseline"))
-
-    failed = [name for name, ok in checks if not ok]
-    print(f"self-test: {len(checks) - len(failed)}/{len(checks)} passed")
+    case("speedup of 2x and 8x is 4x", speedup(
+        {"a": 2, "b": 8}, {"a": 1, "b": 1}, [("a", "a"), ("b", "b")]) == 4)
+    case("an empty, non-JSON file is a SchemaError", raises(load, os.devnull))
+    committed = load(os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                  os.pardir, "BENCH_baseline.json"))["ci_gate"]
+    for name, gate_name, reports, failing in SAMPLES:
+        gate = GATES[gate_name]
+        rows, inputs = evaluate(gate, SAMPLE_CI, reports)
+        case(f"{name}: the sample passes", not failures(rows))
+        case(f"{name}: BENCH_baseline.json has every floor it reads",
+             not any(raises(lookup, committed, path, kind, "ci_gate")
+                     for path, kind in inputs.floors))
+        if failing:
+            case(f"{name}: a sample below the floor fails",
+                 verdict(gate, failing) == [rows[0][0].label])
+        for target in rows:
+            if isinstance(target[0].value, str):
+                bad = copy.deepcopy(reports)
+                break_only(bad[0], target, rows)
+                case(f"{name}: breaking only '{target[0].label}' fails",
+                     verdict(gate, bad) == [target[0].label])
+        paths = [(i, spec.partition(":")[0]) for spec in gate.require
+                 for i in range(len(reports))]
+        for i, path in dict.fromkeys(paths + [(0, p) for p in inputs.fields]):
+            for how, value in (("without", ()), ("with an object at", ({},))):
+                bad = list(reports)
+                bad[i] = without(reports[i], path, *value)
+                case(f"{name}: report {i + 1} {how} {path} is a SchemaError",
+                     raises(evaluate, gate, SAMPLE_CI, bad))
+        if gate.schema:
+            case(f"{name}: a wrong schema is a SchemaError",
+                 raises(evaluate, gate, SAMPLE_CI,
+                        [dict(reports[0], schema="mgbr-other-v1")]))
+        for path, _ in dict.fromkeys(inputs.floors):
+            case(f"{name}: a baseline without ci_gate.{path} is a SchemaError",
+                 raises(evaluate, gate, without(SAMPLE_CI, path), reports))
+    # Inputs the generated cases cannot reach.
+    off, bad = bench(SIMD_ON, 4.0), bench({"BM_DenseGemm/64": "fast"})
+    for gate, label, reports, ci in (
+            ("simd", "no benchmarks array", [{}, off], SAMPLE_CI),
+            ("simd", "a non-numeric median", [bad, off], SAMPLE_CI),
+            ("simd", "no median entries", [bench({}), off], SAMPLE_CI),
+            ("simd", "a gate case missing", [bench(SPMM), off], SAMPLE_CI),
+            ("chaos", "an unknown schedule", [chaos_sample("smoke")],
+             SAMPLE_CI),
+            ("quant", "an empty ci_gate.quant", [QUANT_SAMPLE],
+             dict(SAMPLE_CI, quant={})),
+            *(("quant", f"committed mode {mode} without results",
+               [without(QUANT_SAMPLE, f"results.modes.{mode}")], SAMPLE_CI)
+              for mode in QUANT_MODES)):
+        case(f"{gate}: {label} is a SchemaError",
+             raises(evaluate, GATES[gate], ci, reports))
+    failed = [name for name, ok in results if not ok]
+    for name in failed:
+        print(f"self-test FAILED: {name}")
+    print(f"self-test: {len(results) - len(failed)}/{len(results)} passed")
     return 1 if failed else 0
 
 
 def main(argv):
-    if len(argv) >= 2 and argv[1] == "--self-test":
+    if argv[1:] == ["--self-test"]:
         return self_test()
-    try:
-        if len(argv) >= 2 and argv[1] == "--eval":
-            if len(argv) != 4:
-                print(__doc__)
-                return 2
-            with open(argv[2]) as f:
-                baseline = json.load(f)
-            return eval_gate(baseline, argv[3])
-        if len(argv) >= 2 and argv[1] == "--serving":
-            if len(argv) != 4:
-                print(__doc__)
-                return 2
-            with open(argv[2]) as f:
-                baseline = json.load(f)
-            return serving_gate(baseline, argv[3])
-        if len(argv) >= 2 and argv[1] == "--retrieval":
-            if len(argv) != 4:
-                print(__doc__)
-                return 2
-            with open(argv[2]) as f:
-                baseline = json.load(f)
-            return retrieval_gate(baseline, argv[3])
-        if len(argv) >= 2 and argv[1] == "--quant":
-            if len(argv) != 4:
-                print(__doc__)
-                return 2
-            with open(argv[2]) as f:
-                baseline = json.load(f)
-            return quant_gate(baseline, argv[3])
-        if len(argv) >= 2 and argv[1] == "--chaos":
-            if len(argv) != 4:
-                print(__doc__)
-                return 2
-            with open(argv[2]) as f:
-                baseline = json.load(f)
-            return chaos_gate(baseline, argv[3])
-        if len(argv) != 4:
-            print(__doc__)
-            return 2
-        with open(argv[1]) as f:
-            baseline = json.load(f)
-        return simd_gate(baseline, argv[2], argv[3])
-    except SchemaError as e:
-        print(f"ERROR: {e}")
-        return 1
+    name = argv[1][2:] if len(argv) > 1 else ""
+    if name in GATES and len(argv) == 3 + len(GATES[name].inputs):
+        return run(name, argv[2], argv[3:])
+    print(__doc__ + "".join(
+        f"    check_bench_gate.py --{name} BENCH_baseline.json "
+        f"{' '.join(gate.inputs)}\n" for name, gate in GATES.items()))
+    return 2
 
 
 if __name__ == "__main__":
